@@ -8,12 +8,20 @@ misprint estimator.  The estimator is consistent: it approaches the true
 read fraction as the number of citations grows, but slowly.  At the
 paper's N = 4300 (R = 0.22, M = 0.0105) it reads about 0.25 on the
 expected tally and about 0.31 averaged over single chains.
+
+The chain is simulated in its forest form.  Citation i has a parent,
+-1 when it read the original (citation 0 always does) or a uniform index
+in [0, i) when it copied, and a corruption flag.  Its variant is the
+ordinal of its nearest corrupted ancestor, itself included, or 0 when it
+has none.  One (3, N) block of uniforms per chain gives every parent and
+flag at once, and numpy pointer jumping (ptr[i] = ptr[ptr[i]] while ptr[i]
+is an uncorrupted citation) finds the nearest corrupted ancestors in
+O(log depth) vectorised rounds.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +72,46 @@ class CopyChainOutcome:
     class_sizes: tuple[int, ...] = field(default=())
 
 
+def _resolve_variants(parent: np.ndarray, corrupt: np.ndarray) -> np.ndarray:
+    """Variant id of each citation in the copy forest.
+
+    parent[i] is -1 (citation i read the original) or an index below i;
+    corrupt[i] says whether its transcription was corrupted.  The variant
+    is the ordinal (1-based, in index order) of the nearest corrupted
+    ancestor, itself included, or 0 when there is none.
+    """
+    n = parent.size
+    # slot n stands for the original: parent -1 indexes it, and it points
+    # at itself, as every corrupted citation does
+    ptr = np.append(np.where(corrupt, np.arange(n), parent), -1)
+    # pointer jumping: every citation takes over its target's pointer.  No
+    # corrupted citation ever lies strictly between a citation and its
+    # target, so the fixed point, reached after O(log depth) rounds, is the
+    # nearest corrupted ancestor or the original.
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            break
+        ptr = jumped
+    ordinal = np.zeros(n + 1, dtype=np.intp)
+    hits = np.flatnonzero(corrupt)
+    ordinal[hits] = np.arange(1, hits.size + 1)
+    return ordinal[ptr[:n]]
+
+
+def _draw_forest(config: CopyChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Parents and corruption flags of one chain, from one (3, N) block of
+    PCG64 uniforms: read or copy, which earlier citation, corrupted."""
+    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    reads, picks, corrupts = rng.random((3, config.n_citations))
+    idx = np.arange(config.n_citations)
+    copies = reads >= config.read_prob
+    copies[0] = False
+    # floor(u * i) lies in [0, i) for every double u < 1
+    parent = np.where(copies, (picks * idx).astype(np.intp), -1)
+    return parent, corrupts < config.misprint_prob
+
+
 def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     """Run one chain.  Uses PCG64 seeded from config.seed.
 
@@ -71,33 +119,21 @@ def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     read_prob, otherwise copies a uniformly random earlier citation's
     variant.  The transcription is then corrupted into a globally unique
     new variant with probability misprint_prob.  The first citation
-    always sources the original.
+    always sources the original.  Variant ids are 1..D in order of first
+    appearance.
     """
     config.validate()
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
-    n = config.n_citations
-    variants = [0] * n
-    next_variant = 1
-    for i in range(n):
-        if i == 0 or rng.random() < config.read_prob:
-            source = 0
-        else:
-            source = variants[rng.integers(0, i)]
-        if rng.random() < config.misprint_prob:
-            variants[i] = next_variant
-            next_variant += 1
-        else:
-            variants[i] = source
-    sizes = Counter(v for v in variants if v > 0)
+    variants = _resolve_variants(*_draw_forest(config))
+    sizes = np.bincount(variants)[1:]
     tally = MisprintTally(
-        distinct=len(sizes),
-        total=sum(sizes.values()),
-        citations=n,
+        distinct=sizes.size,
+        total=int(sizes.sum()),
+        citations=config.n_citations,
     )
     return CopyChainOutcome(
-        variants=tuple(variants),
+        variants=tuple(variants.tolist()),
         tally=tally,
-        class_sizes=tuple(sizes[k] for k in sorted(sizes)),
+        class_sizes=tuple(sizes.tolist()),
     )
 
 
@@ -115,6 +151,8 @@ class RoundtripSummary:
     # by the skew of per-trial ratio estimates
     pooled_naive: float
     pooled_corrected: float
+    # D, T and N summed over all trials, degenerate ones included
+    pooled: MisprintTally
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:
@@ -130,40 +168,30 @@ def estimator_roundtrip(config: CopyChainConfig, trials: int) -> RoundtripSummar
     config.validate()
     if trials < 1:
         raise InvalidTallyError("trials must be >= 1")
-    seeds = trial_seeds(config.seed, trials)
-    naive_vals = []
-    corrected_vals = []
-    degenerate = 0
-    pooled_d = pooled_t = pooled_n = 0
-    for s in seeds:
-        outcome = simulate_copy_chain(
-            CopyChainConfig(
-                n_citations=config.n_citations,
-                read_prob=config.read_prob,
-                misprint_prob=config.misprint_prob,
-                seed=int(s),
-            )
-        )
-        pooled_d += outcome.tally.distinct
-        pooled_t += outcome.tally.total
-        pooled_n += outcome.tally.citations
-        if outcome.tally.total == 0:
-            degenerate += 1
-            continue
-        naive_vals.append(naive_read_fraction(outcome.tally))
-        corrected_vals.append(corrected_read_fraction(outcome.tally).corrected_r)
-    if not naive_vals:
+    n = config.n_citations
+    distinct = np.empty(trials, dtype=np.int64)
+    total = np.empty(trials, dtype=np.int64)
+    for k, s in enumerate(trial_seeds(config.seed, trials)):
+        variants = _resolve_variants(*_draw_forest(replace(config, seed=int(s))))
+        # variant ids run 1..D, so the largest is D
+        distinct[k] = variants.max()
+        total[k] = np.count_nonzero(variants)
+    tallies = [
+        MisprintTally(int(d), int(t), n) for d, t in zip(distinct, total) if t
+    ]
+    if not tallies:
         raise InsufficientStatisticsError("every trial produced zero misprints")
-    naive = np.asarray(naive_vals)
-    corrected = np.asarray(corrected_vals)
-    pooled = MisprintTally(pooled_d, pooled_t, pooled_n)
+    naive = np.array([naive_read_fraction(t) for t in tallies])
+    corrected = np.array([corrected_read_fraction(t).corrected_r for t in tallies])
+    pooled = MisprintTally(int(distinct.sum()), int(total.sum()), n * trials)
     return RoundtripSummary(
         trials=trials,
-        degenerate=degenerate,
+        degenerate=trials - len(tallies),
         naive_mean=float(naive.mean()),
         naive_std=float(naive.std(ddof=1)) if naive.size > 1 else 0.0,
         corrected_mean=float(corrected.mean()),
         corrected_std=float(corrected.std(ddof=1)) if corrected.size > 1 else 0.0,
         pooled_naive=naive_read_fraction(pooled),
         pooled_corrected=corrected_read_fraction(pooled).corrected_r,
+        pooled=pooled,
     )

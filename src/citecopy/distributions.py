@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,9 +38,8 @@ class CcdfCurve:
 
     def at(self, threshold: float) -> float:
         """Fraction of items >= threshold, as a step function."""
-        xs = [x for x, _ in self.points]
-        i = bisect_left(xs, threshold)
-        if i == len(xs):
+        i = bisect_left(self.points, threshold, key=itemgetter(0))
+        if i == len(self.points):
             return 0.0
         return self.points[i][1]
 
@@ -96,8 +96,15 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     )
 
 
+def _steps_at(curve: CcdfCurve, thresholds: np.ndarray) -> np.ndarray:
+    """`curve.at` for every threshold, with one vectorised binary search."""
+    xs = np.array([x for x, _ in curve.points])
+    fractions = np.array([f for _, f in curve.points] + [0.0])
+    return fractions[np.searchsorted(xs, thresholds, side="left")]
+
+
 def ks_distance(a: CcdfCurve, b: CcdfCurve) -> float:
     """Maximum absolute vertical gap between two CCDF step curves over
     the union of their thresholds."""
-    thresholds = {x for x, _ in a.points} | {x for x, _ in b.points}
-    return max(abs(a.at(t) - b.at(t)) for t in thresholds)
+    thresholds = np.union1d([x for x, _ in a.points], [x for x, _ in b.points])
+    return float(np.abs(_steps_at(a, thresholds) - _steps_at(b, thresholds)).max())

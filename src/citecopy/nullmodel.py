@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 from .errors import CitecopyError, InvalidTallyError
 
 __all__ = [
@@ -44,9 +42,9 @@ class BinomialTailQuery:
 
 def _log_pmf(n: int, log_p: float, log_q: float, k: int) -> float:
     return (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
         + k * log_p
         + (n - k) * log_q
     )

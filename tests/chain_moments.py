@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from citecopy import MisprintTally, RoundtripSummary
+from citecopy import MisprintTally
 
 # ensemble checks accept deviations up to this many standard deviations
 Z = 4.0
@@ -43,21 +43,36 @@ def expected_tally(n: int, read_prob: float, misprint_prob: float) -> MisprintTa
     return MisprintTally(round(misprint_prob * n), round(expected_t), n)
 
 
-def pooled_moments(
-    n: int, read_prob: float, misprint_prob: float, trials: int
-) -> tuple[float, float, float, float]:
-    """Mean and standard deviation of D and of T summed over `trials`
-    independent chains of n citations.  The spread of T costs O(n^2)."""
+def _joint_columns(n: int, read_prob: float, misprint_prob: float):
+    """Yield (j, col) for j = 1 .. n-1, where col[i] = P(X_i X_j), i < j."""
     a = (1.0 - misprint_prob) * (1.0 - read_prob)
     f = misprint_probs(n, read_prob, misprint_prob)
     # row[i] = P(X_i X_0) + ... + P(X_i X_{j-1}) at step j, for i < j
     row = np.empty(n)
     row[0] = f[0]
-    second = f[0]  # E[T^2] = sum of P(X_i X_j) over all ordered pairs
     for j in range(1, n):
         col = misprint_prob * f[:j] + (a / j) * row[:j]
+        yield j, col
         row[:j] += col
         row[j] = col.sum() + f[j]
+
+
+def joint_probs(n: int, read_prob: float, misprint_prob: float) -> np.ndarray:
+    """The n x n matrix of P(X_i X_j), with f_i on the diagonal."""
+    joint = np.diag(misprint_probs(n, read_prob, misprint_prob))
+    for j, col in _joint_columns(n, read_prob, misprint_prob):
+        joint[:j, j] = joint[j, :j] = col
+    return joint
+
+
+def pooled_moments(
+    n: int, read_prob: float, misprint_prob: float, trials: int
+) -> tuple[float, float, float, float]:
+    """Mean and standard deviation of D and of T summed over `trials`
+    independent chains of n citations.  The spread of T costs O(n^2)."""
+    f = misprint_probs(n, read_prob, misprint_prob)
+    second = f[0]  # E[T^2] = sum of P(X_i X_j) over all ordered pairs
+    for j, col in _joint_columns(n, read_prob, misprint_prob):
         second += 2.0 * col.sum() + f[j]
     mean_t = float(f.sum())
     return (
@@ -66,15 +81,3 @@ def pooled_moments(
         trials * mean_t,
         math.sqrt(trials * (second - mean_t**2)),
     )
-
-
-def pooled_tally(summary: RoundtripSummary, citations: int) -> tuple[float, float]:
-    """Recover the pooled (D, T) from the pooled estimates a = D/T and
-    c = a(N - T)/(N - D), which give T = N(a - c)/(a(1 - c)).  When every
-    pooled misprint is unique, a = c = 1 leaves T = D undetermined and
-    both come back as nan."""
-    a, c = summary.pooled_naive, summary.pooled_corrected
-    if c == 1.0:
-        return math.nan, math.nan
-    t = round(citations * (a - c) / (a * (1.0 - c)))
-    return round(a * t), t

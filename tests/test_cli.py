@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import citecopy
 from citecopy import MisprintTally, corrected_read_fraction
 from citecopy.cli import main
 
@@ -15,6 +20,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_import_does_not_load_scipy():
+    # every CLI call pays the import; scipy alone used to be most of it
+    src = str(pathlib.Path(citecopy.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, citecopy.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestEstimate:

@@ -11,9 +11,22 @@ from citecopy import (
     estimator_roundtrip,
     simulate_copy_chain,
 )
-from citecopy.copychain import trial_seeds
+from citecopy.copychain import _draw_forest, _resolve_variants, trial_seeds
 
-from chain_moments import Z, expected_tally, pooled_moments
+from chain_moments import Z, expected_tally, joint_probs, misprint_probs, pooled_moments
+
+
+def loop_variants(parent, corrupt):
+    """Reference: resolve variants citation by citation, in index order."""
+    variants = []
+    next_variant = 1
+    for p, c in zip(parent.tolist(), corrupt.tolist()):
+        if c:
+            variants.append(next_variant)
+            next_variant += 1
+        else:
+            variants.append(variants[p] if p >= 0 else 0)
+    return variants
 
 
 class TestSimulateCopyChain:
@@ -48,6 +61,50 @@ class TestSimulateCopyChain:
             assert t.distinct == len(out.class_sizes)
             assert t.total == sum(out.class_sizes)
             assert t.total == sum(1 for v in out.variants if v > 0)
+
+    def test_parents_lie_below_their_child(self):
+        # over many chains, citation i copies every index in [0, i) and no
+        # other; citation 0 always reads
+        n = 30
+        seen = [set() for _ in range(n)]
+        for sd in trial_seeds(11, 3000):
+            parent, _ = _draw_forest(CopyChainConfig(n, 0.1, 0.2, int(sd)))
+            for i, p in enumerate(parent.tolist()):
+                if p >= 0:
+                    seen[i].add(p)
+        assert seen == [set(range(i)) for i in range(n)]
+
+    def test_pointer_jumping_matches_loop(self):
+        cases = [
+            (1, 0.5, 0.5), (50, 0.0, 0.05), (500, 0.22, 0.0105),
+            (2000, 0.0, 0.001), (300, 0.5, 0.9),
+        ]
+        for n, r, m in cases:
+            for sd in trial_seeds(n, 5):
+                parent, corrupt = _draw_forest(CopyChainConfig(n, r, m, int(sd)))
+                got = _resolve_variants(parent, corrupt)
+                assert got.tolist() == loop_variants(parent, corrupt)
+
+    def test_variant_ids_in_order_of_first_appearance(self):
+        for seed in range(10):
+            out = simulate_copy_chain(CopyChainConfig(1000, 0.3, 0.05, seed))
+            first_seen = list(dict.fromkeys(v for v in out.variants if v))
+            assert first_seen == list(range(1, out.tally.distinct + 1))
+
+    def test_misprinted_fraction_by_decile_matches_exact(self):
+        # a parent drawn from [0, i], [1, i] or [0, i-1) instead of [0, i)
+        # moves every decile by 4 to 25 standard deviations at this size
+        n, r, m, trials = 30, 0.1, 0.2, 8000
+        hits = np.zeros(n)
+        for sd in trial_seeds(2024, trials):
+            out = simulate_copy_chain(CopyChainConfig(n, r, m, int(sd)))
+            hits += np.array(out.variants) > 0
+        f = misprint_probs(n, r, m)
+        joint = joint_probs(n, r, m)
+        for decile in np.array_split(np.arange(n), 10):
+            mean = trials * f[decile].sum()
+            var = trials * (joint[np.ix_(decile, decile)].sum() - f[decile].sum() ** 2)
+            assert abs(hits[decile].sum() - mean) <= Z * math.sqrt(var)
 
     def test_config_validation(self):
         with pytest.raises(InvalidTallyError):
@@ -94,6 +151,8 @@ class TestEstimatorRoundtrip:
         sd = target * big_n * math.hypot(
             sd_d / (mean_d * (big_n - mean_d)), sd_t / (mean_t * (big_n - mean_t))
         )
+        assert s.pooled.citations == big_n
+        assert s.pooled_corrected == corrected_read_fraction(s.pooled).corrected_r
         assert abs(s.pooled_corrected - target) <= Z * sd
         assert s.pooled_corrected <= s.pooled_naive
 
@@ -107,6 +166,13 @@ class TestEstimatorRoundtrip:
                 ratios.append(max(out.class_sizes) / out.tally.total)
         lo, hi = np.percentile(ratios, [5, 95])
         assert lo < 78 / 196 < hi
+
+    def test_one_trial_pools_the_chain_of_its_seed(self):
+        # `oracle --dump` writes this chain as trial 0 of the ensemble
+        cfg = CopyChainConfig(4300, 0.22, 0.0105, 3)
+        s = estimator_roundtrip(cfg, 1)
+        first = CopyChainConfig(4300, 0.22, 0.0105, int(trial_seeds(3, 1)[0]))
+        assert simulate_copy_chain(first).tally == s.pooled
 
     def test_trial_seeds_deterministic(self):
         assert list(trial_seeds(5, 10)) == list(trial_seeds(5, 10))

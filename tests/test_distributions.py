@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from citecopy import (
+    CcdfCurve,
     CountSample,
     InvalidTallyError,
     RcsConfig,
@@ -84,7 +86,25 @@ class TestLogBinHistogram:
             log_bin_histogram(CountSample((1, 2), "x"), 0)
 
 
+def step_curves():
+    return st.dictionaries(
+        st.integers(-20, 60), st.floats(0.0, 1.0), min_size=1, max_size=30
+    ).map(lambda steps: CcdfCurve(points=tuple(sorted(steps.items()))))
+
+
+def brute_at(curve, threshold):
+    """Fraction at the first point with x >= threshold, else 0."""
+    return next((f for x, f in curve.points if x >= threshold), 0.0)
+
+
 class TestKsDistance:
+    @given(step_curves(), step_curves())
+    def test_brute_force_oracle(self, a, b):
+        thresholds = {x for x, _ in a.points} | {x for x, _ in b.points}
+        assert all(a.at(t) == brute_at(a, t) for t in thresholds)
+        want = max(abs(brute_at(a, t) - brute_at(b, t)) for t in thresholds)
+        assert ks_distance(a, b) == want
+
     def test_identical_curves(self):
         curve = ccdf(CountSample((0, 0, 1, 2), "x"))
         assert ks_distance(curve, curve) == 0.0
