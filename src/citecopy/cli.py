@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .copychain import CopyChainConfig, estimator_roundtrip, simulate_copy_chain, trial_seeds
 from .distributions import CountSample, ccdf, ks_distance, log_bin_histogram
-from .errors import CitecopyError
+from .errors import CitecopyError, InvalidTallyError
 from .estimator import MisprintTally, corrected_read_fraction
 from .nullmodel import BinomialTailQuery, binomial_log10_tail, expected_count
 from .parsing import CanonicalRef, classification_dict, classify, parse_records
@@ -43,20 +43,25 @@ def _manifest(subcommand: str, params: dict, seed: int | None) -> dict:
     }
 
 
+def _strict(value):
+    """`value` with every non-finite float spelled as a string, since JSON
+    has no Infinity or NaN (the copy factor can diverge, a tail can be 0)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
+    json.dump(_strict(payload), sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
 def _emit_error(manifest: dict, kind: str, message: str) -> None:
     _emit({"manifest": manifest, "error": {"type": kind, "message": message}})
-
-
-def _json_float(x: float):
-    # JSON has no Infinity; the copy factor can diverge
-    if math.isinf(x):
-        return "inf"
-    return x
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -78,7 +83,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "naive_r": est.naive_r,
             "corrected_r": est.corrected_r,
             "n_p": est.propagation_factor,
-            "n_c": _json_float(est.copy_factor),
+            "n_c": est.copy_factor,
             "M": est.misprint_prob,
         }
     )
@@ -98,13 +103,15 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> int:
         },
         args.seed,
     )
-    if args.runs < 1:
-        _emit_error(manifest, "InvalidTallyError", "runs must be >= 1")
-        return EXIT_DOMAIN
-    run_seeds = trial_seeds(args.seed, args.runs)
     per_run = []
     try:
-        for i, s in enumerate(run_seeds):
+        # every argument is checked before the first network is grown
+        if args.runs < 1:
+            raise InvalidTallyError("runs must be >= 1")
+        RcsConfig(args.papers, args.m, args.p, args.seed).validate()
+        if args.threshold < 1:
+            raise InvalidTallyError("threshold must be >= 1")
+        for i, s in enumerate(trial_seeds(args.seed, args.runs)):
             net = simulate_rcs(RcsConfig(args.papers, args.m, args.p, int(s)))
             count, fraction = renowned_fraction(net, args.threshold)
             stats = degree_stats(net)
@@ -147,9 +154,11 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> int:
 
 
 def _dump_network(path: str, net, threshold: int, renowned_count: int) -> None:
+    # one CSR row at a time, so that no list of all references is built
+    bounds = net.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for idx, refs in enumerate(net.out_lists):
-            fh.write(f"{idx}: {' '.join(str(r) for r in refs)}\n")
+        for idx, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            fh.write(f"{idx}: {' '.join(map(str, net.indices[a:b].tolist()))}\n")
         fh.write(
             json.dumps(
                 {
@@ -234,7 +243,12 @@ def _dump_outcome(path: str, outcome) -> None:
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
-    prob = args.prob if args.prob is not None else 1.0 / args.one_in
+    if args.prob is not None:
+        prob = args.prob
+    elif args.one_in >= 1:
+        prob = 1.0 / args.one_in
+    else:
+        prob = None
     manifest = _manifest(
         "tail",
         {
@@ -246,6 +260,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
         None,
     )
     try:
+        if prob is None:
+            raise InvalidTallyError("one_in must be >= 1")
         log10_tail = binomial_log10_tail(
             BinomialTailQuery(args.trials, prob, args.threshold)
         )
@@ -292,7 +308,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
                 "naive_r": est.naive_r,
                 "corrected_r": est.corrected_r,
                 "n_p": est.propagation_factor,
-                "n_c": _json_float(est.copy_factor),
+                "n_c": est.copy_factor,
                 "M": est.misprint_prob,
             }
     except CitecopyError as exc:

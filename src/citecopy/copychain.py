@@ -44,7 +44,7 @@ class CopyChainConfig:
     n_citations : number of citers
     read_prob   : probability a citer reads the original (true R)
     misprint_prob: per-transcription corruption probability (M)
-    seed        : RNG seed; identical configs give bit-identical outcomes
+    seed        : RNG seed (>= 0); identical configs give bit-identical outcomes
     """
 
     n_citations: int
@@ -59,6 +59,8 @@ class CopyChainConfig:
             raise InvalidTallyError("read_prob must be in [0, 1]")
         if not 0.0 <= self.misprint_prob < 1.0:
             raise InvalidTallyError("misprint_prob must be in [0, 1)")
+        if self.seed < 0:
+            raise InvalidTallyError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

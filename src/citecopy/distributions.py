@@ -4,6 +4,7 @@ and a Kolmogorov-Smirnov style distance between step curves."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -23,9 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CountSample:
-    """Citations-per-paper counts with a label for output files."""
+    """Citations-per-paper counts with a label for output files; counts
+    may be any integer sequence, a numpy array included."""
 
-    counts: tuple[int, ...]
+    counts: Sequence[int] | np.ndarray
     label: str = ""
 
 
@@ -45,7 +47,7 @@ class CcdfCurve:
 
 
 def ccdf(sample: CountSample) -> CcdfCurve:
-    if not sample.counts:
+    if len(sample.counts) == 0:
         raise InvalidTallyError("empty sample")
     counts = np.asarray(sample.counts)
     values, occurrences = np.unique(counts, return_counts=True)
@@ -71,7 +73,7 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     positive-count fraction."""
     if bins_per_decade < 1:
         raise InvalidTallyError("bins_per_decade must be >= 1")
-    if not sample.counts:
+    if len(sample.counts) == 0:
         raise InvalidTallyError("empty sample")
     counts = np.asarray(sample.counts)
     positive = counts[counts > 0]

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import citecopy
-from citecopy import MisprintTally, corrected_read_fraction
+from citecopy import MisprintTally, RcsConfig, cli, corrected_read_fraction, simulate_rcs
 from citecopy.cli import main
+from citecopy.copychain import trial_seeds
 
 
 def run(capsys, *argv):
@@ -20,6 +21,16 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_strict_json(capsys, *argv):
+    """Like run_json, but NaN and Infinity in stdout fail the parse."""
+    code, out = run(capsys, *argv)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_import_does_not_load_scipy():
@@ -52,6 +63,14 @@ class TestEstimate:
         )
         assert code == 0
         assert payload["corrected_r"] == 1.0
+
+    def test_infinite_copy_factor_is_inf_string(self, capsys):
+        code, payload = run_strict_json(
+            capsys, "estimate", "--distinct", "5", "--total", "100",
+            "--citations", "100",
+        )
+        assert code == 0
+        assert payload["n_c"] == "inf"
 
     def test_insufficient_statistics(self, capsys):
         code, payload = run_json(
@@ -94,8 +113,50 @@ class TestSimulateRcs:
         assert code == 2
         assert "error" in payload
 
+    def test_negative_seed(self, capsys):
+        code, payload = run_strict_json(
+            capsys, "simulate-rcs", "--papers", "100", "--m", "3", "--p", "0.2",
+            "--seed", "-1",
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "InvalidTallyError"
+
+    def test_zero_threshold_fails_before_growing(self, capsys, monkeypatch):
+        grown = []
+        monkeypatch.setattr(cli, "simulate_rcs", grown.append)
+        code, payload = run_strict_json(
+            capsys, "simulate-rcs", "--papers", "100", "--m", "3", "--p", "0.2",
+            "--seed", "1", "--threshold", "0",
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "InvalidTallyError"
+        assert grown == []
+
+    def test_dump_equals_per_row_rendering(self, capsys, tmp_path):
+        dump = tmp_path / "net.txt"
+        code, _ = run_json(
+            capsys, "simulate-rcs", "--papers", "700", "--m", "2", "--p", "0.3",
+            "--seed", "19", "--dump", str(dump),
+        )
+        assert code == 0
+        net = simulate_rcs(RcsConfig(700, 2, 0.3, int(trial_seeds(19, 1)[0])))
+        rows = "".join(
+            f"{idx}: {' '.join(str(r) for r in refs)}\n"
+            for idx, refs in enumerate(net.out_lists)
+        )
+        lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert "".join(lines[:-1]) == rows  # the last line is the summary
+
 
 class TestOracle:
+    def test_negative_seed(self, capsys):
+        code, payload = run_strict_json(
+            capsys, "oracle", "--citations", "100", "--read-prob", "0.3",
+            "--misprint-prob", "0.1", "--seed", "-3", "--trials", "2",
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "InvalidTallyError"
+
     def test_all_readers_estimate_is_one(self, capsys):
         code, payload = run_json(
             capsys, "oracle", "--citations", "1000", "--read-prob", "1",
@@ -161,6 +222,23 @@ class TestTail:
         )
         assert code == 2
         assert "error" in payload
+
+    def test_one_in_zero(self, capsys):
+        code, payload = run_strict_json(
+            capsys, "tail", "--trials", "100", "--one-in", "0", "--threshold", "5",
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "InvalidTallyError"
+
+    def test_zero_prob_tail_is_minus_inf_string(self, capsys):
+        # 1e-400 underflows to 0.0, whose upper tail is log10(0) = -inf
+        code, payload = run_strict_json(
+            capsys, "tail", "--trials", "100", "--prob", "1e-400", "--threshold", "5",
+            "--population", "10",
+        )
+        assert code == 0
+        assert payload["log10_tail"] == "-inf"
+        assert payload["expected_count"] == 0.0
 
 
 class TestParse:

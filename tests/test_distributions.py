@@ -28,6 +28,19 @@ class TestCcdf:
         b = ccdf(CountSample((9, 6, 5, 4, 3, 2, 1, 1), "x"))
         assert a.points == b.points
 
+    def test_array_counts_equal_tuple_counts(self):
+        counts = (3, 0, 4, 1, 5, 9, 2, 6, 0, 1)
+        assert ccdf(CountSample(np.array(counts))) == ccdf(CountSample(counts))
+        assert log_bin_histogram(CountSample(np.array(counts)), 3) == log_bin_histogram(
+            CountSample(counts), 3
+        )
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(InvalidTallyError):
+            ccdf(CountSample(np.array([], dtype=np.int64)))
+        with pytest.raises(InvalidTallyError):
+            log_bin_histogram(CountSample(np.array([], dtype=np.int64)), 3)
+
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

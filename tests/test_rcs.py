@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chain_moments import Z
 from citecopy import (
     CountSample,
     InvalidTallyError,
@@ -69,9 +70,97 @@ class TestSimulateRcs:
         with pytest.raises(InvalidTallyError):
             simulate_rcs(RcsConfig(3, 3, 0.5, 1))
         with pytest.raises(InvalidTallyError):
+            simulate_rcs(RcsConfig(10, 2, 0.5, -1))
+        with pytest.raises(InvalidTallyError):
             simulate_rcs(RcsConfig(10, 0, 0.5, 1))
         with pytest.raises(InvalidTallyError):
             simulate_rcs(RcsConfig(10, 2, 1.5, 1))
+
+
+class TestCsrForm:
+    def test_csr_invariants_over_random_configs(self):
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            cfg = RcsConfig(
+                n_papers=int(rng.integers(8, 600)),
+                m=int(rng.integers(1, 8)),
+                p=float(rng.random()),
+                seed=int(rng.integers(0, 2**63)),
+            )
+            net = simulate_rcs(cfg)
+            assert net.indptr.size == cfg.n_papers + 1 == net.n_papers + 1
+            assert net.indptr[0] == 0
+            assert np.all(np.diff(net.indptr) >= 0)
+            assert net.indptr[-1] == net.indices.size == net.total_edges
+            assert np.array_equal(
+                net.in_degree, np.bincount(net.indices, minlength=cfg.n_papers)
+            )
+            rows = net.out_lists
+            assert len(rows) == cfg.n_papers
+            for t, refs in enumerate(rows):
+                assert refs == tuple(net.indices[net.indptr[t]:net.indptr[t + 1]].tolist())
+
+    def test_full_copying_inherits_every_reference(self):
+        # p = 1 copies each picked paper's whole list
+        net = simulate_rcs(RcsConfig(400, 2, 1.0, 4))
+        rows = net.out_lists
+        for refs in rows[2:]:
+            inherited = set(refs[:1]) | set(rows[refs[0]])
+            assert inherited <= set(refs)
+
+
+class TestGrowthLaws:
+    """The block-drawn sampler against the model's exact laws."""
+
+    def test_copies_are_one_bernoulli_coin_per_reference(self):
+        # m = 1: paper t cites its pick and then a Binomial(L, p) subset of
+        # the pick's L references (no duplicates can arise).  Pooled over
+        # papers, sum(c - pL) and sum((c - pL)^2 - Lpq) are sums of
+        # martingale differences with known variances.
+        p, q = 0.3, 0.7
+        resid, resid_var, sq, sq_var = 0.0, 0.0, 0.0, 0.0
+        for seed in range(4):
+            net = simulate_rcs(RcsConfig(20000, 1, p, seed))
+            rows = net.out_lists
+            for refs in rows[1:]:
+                assert set(refs[1:]) <= set(rows[refs[0]])
+            lengths = np.diff(net.indptr)
+            picks = net.indices[net.indptr[1:-1]]
+            big_l = lengths[picks].astype(float)
+            copied = lengths[1:] - 1
+            d = copied - p * big_l
+            resid += d.sum()
+            resid_var += (big_l * p * q).sum()
+            sq += (d**2 - big_l * p * q).sum()
+            sq_var += (big_l * p * q * (1 - 6 * p * q) + 2 * (big_l * p * q) ** 2).sum()
+        assert abs(resid) <= Z * np.sqrt(resid_var)
+        assert abs(sq) <= Z * np.sqrt(sq_var)
+
+    def test_first_coin_of_a_network_is_fair(self):
+        # n = 3, m = 1: paper 2 copies paper 0 only if it picks paper 1
+        # (chance 1/2) and the first coin of the network comes up (p)
+        seeds, p = 2000, 0.3
+        copied = sum(
+            len(simulate_rcs(RcsConfig(3, 1, p, seed)).out_lists[2]) - 1
+            for seed in range(seeds)
+        )
+        mean, var = seeds * p / 2, seeds * (p / 2) * (1 - p / 2)
+        assert abs(copied - mean) <= Z * np.sqrt(var)
+
+    def test_picks_are_distinct_and_uniform(self):
+        # p = 0, m = 3: paper 5 cites exactly its picks, in pick order; all
+        # 5 * 4 * 3 ordered tuples of distinct papers below 5 are equally
+        # likely.  Chi-square with 59 degrees of freedom.
+        seeds = 3000
+        cells: dict[tuple[int, ...], int] = {}
+        for seed in range(seeds):
+            refs = simulate_rcs(RcsConfig(6, 3, 0.0, seed)).out_lists[5]
+            assert len(set(refs)) == 3 and all(0 <= r < 5 for r in refs)
+            cells[refs] = cells.get(refs, 0) + 1
+        expected = seeds / 60
+        observed = np.array(list(cells.values()) + [0] * (60 - len(cells)))
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 <= 59 + Z * np.sqrt(2 * 59)
 
 
 class TestRenownedFraction:
