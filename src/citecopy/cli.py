@@ -295,6 +295,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     except OSError as exc:
         _emit_error(manifest, "IOError", str(exc))
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        _emit_error(manifest, "UnicodeDecodeError", f"{args.input}: {exc}")
+        return EXIT_IO
     try:
         canonical = CanonicalRef(*fields)
         tally, classes = classify(records, canonical)
@@ -319,18 +322,17 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _read_counts(path: str) -> CountSample:
-    counts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            value = int(line)
-            if value < 0:
-                raise ValueError(f"negative count {value} in {path}")
-            counts.append(value)
+        values = [int(line) for line in map(str.strip, fh) if line and line[0] != "#"]
+    try:
+        counts = np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"count beyond the int64 range in {path}") from exc
+    negative = counts[counts < 0]
+    if negative.size:
+        raise ValueError(f"negative count {negative[0]} in {path}")
     label = os.path.splitext(os.path.basename(path))[0]
-    return CountSample(counts=tuple(counts), label=label)
+    return CountSample(counts=counts, label=label)
 
 
 def _write_csv(path: str, rows) -> None:
@@ -352,14 +354,19 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if len(args.counts) > 2:
         _emit_error(manifest, "InvalidTallyError", "at most two counts files")
         return EXIT_DOMAIN
-    try:
-        samples = [_read_counts(p) for p in args.counts]
-    except OSError as exc:
-        _emit_error(manifest, "IOError", str(exc))
-        return EXIT_IO
-    except ValueError as exc:
-        _emit_error(manifest, "ValueError", f"bad counts file: {exc}")
-        return EXIT_DOMAIN
+    samples = []
+    for path in args.counts:
+        try:
+            samples.append(_read_counts(path))
+        except OSError as exc:
+            _emit_error(manifest, "IOError", str(exc))
+            return EXIT_IO
+        except UnicodeDecodeError as exc:
+            _emit_error(manifest, "UnicodeDecodeError", f"{path}: {exc}")
+            return EXIT_IO
+        except ValueError as exc:
+            _emit_error(manifest, "ValueError", f"bad counts file: {exc}")
+            return EXIT_DOMAIN
     outputs = []
     curves = []
     try:
@@ -369,7 +376,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
             ccdf_path = f"{args.out_prefix}_{sample.label}_ccdf.csv"
             _write_csv(ccdf_path, curve.points)
             entry = {"label": sample.label, "ccdf_csv": ccdf_path}
-            if any(c > 0 for c in sample.counts):
+            if (sample.counts > 0).any():
                 hist = log_bin_histogram(sample, args.bins_per_decade)
                 hist_path = f"{args.out_prefix}_{sample.label}_hist.csv"
                 _write_csv(hist_path, hist.points)

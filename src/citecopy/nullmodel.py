@@ -50,13 +50,31 @@ def _log_pmf(n: int, log_p: float, log_q: float, k: int) -> float:
     )
 
 
+def _log_sum_terms(n: int, log_p: float, log_q: float, ks: range) -> float:
+    """log of the sum of the pmf over `ks`, which must run away from the
+    mode: the running log-sum-exp stops once a term has fallen 40 orders
+    of magnitude below the sum, so the truncation error stays far below
+    reporting precision."""
+    log_sum = -math.inf
+    for j in ks:
+        term = _log_pmf(n, log_p, log_q, j)
+        if term > log_sum:
+            log_sum = term + math.log1p(math.exp(log_sum - term))
+        else:
+            log_sum = log_sum + math.log1p(math.exp(term - log_sum))
+        if term < log_sum - TERM_CUTOFF_LOG:
+            break
+    return log_sum
+
+
 def binomial_log10_tail(query: BinomialTailQuery) -> float:
     """log10 of the upper tail P(X >= k), summed stably in log space.
 
-    Terms are accumulated from k upward with a running log-sum-exp;
-    summation stops once past the distribution mode and the current term
-    has fallen 40 orders of magnitude below the running sum, which bounds
-    the truncation error far below reporting precision.
+    Above the mode the terms are summed from k upward.  At or below it
+    the tail is 1 - P(X <= k - 1), with the lower sum taken from k - 1
+    downward.  Both sums start at their largest term and stop early, so a
+    threshold far below the mode costs a few terms and gives exactly 0.0
+    when P(X <= k - 1) is below double precision.
     """
     query.validate()
     n, p, k = query.trials, query.success_prob, query.threshold
@@ -67,17 +85,11 @@ def binomial_log10_tail(query: BinomialTailQuery) -> float:
     if p == 1.0:
         return 0.0
     log_p, log_q = math.log(p), math.log1p(-p)
-    mode = int(n * p)
-    log_sum = -math.inf
-    for j in range(k, n + 1):
-        term = _log_pmf(n, log_p, log_q, j)
-        if term > log_sum:
-            log_sum = term + math.log1p(math.exp(log_sum - term))
-        else:
-            log_sum = log_sum + math.log1p(math.exp(term - log_sum))
-        if j > mode and term < log_sum - TERM_CUTOFF_LOG:
-            break
-    return min(log_sum / LN10, 0.0)
+    if k > int(n * p):
+        return min(_log_sum_terms(n, log_p, log_q, range(k, n + 1)) / LN10, 0.0)
+    lower = _log_sum_terms(n, log_p, log_q, range(k - 1, -1, -1))
+    # + 0.0 turns the -0.0 of an empty complement into 0.0
+    return math.log1p(-math.exp(lower)) / LN10 + 0.0
 
 
 def streak_probability(win_prob: float, streak: int) -> float:

@@ -121,13 +121,20 @@ def classify(
     records: list[CitationRecord], canonical: CanonicalRef
 ) -> tuple[MisprintTally, list[MisprintClass]]:
     """Group erroneous renderings into classes by exact normalized-tuple
-    equality and derive the misprint tally."""
+    equality and derive the misprint tally.
+
+    Copied citations repeat a few renderings verbatim, so each distinct
+    raw rendering is normalized once."""
     target = canonical.normalized()
     groups: dict[tuple[str, str, str, str], list[str]] = {}
+    normalized: dict[tuple[str, str, str, str], tuple[str, str, str, str]] = {}
     n = 0
     for rec in records:
         n += 1
-        t = rec.normalized()
+        raw = (rec.journal, rec.volume, rec.page, rec.year)
+        t = normalized.get(raw)
+        if t is None:
+            t = normalized[raw] = normalize_tuple(*raw)
         if t == target:
             continue
         groups.setdefault(t, []).append(rec.source_id)

@@ -65,16 +65,27 @@ class RcsConfig:
             raise InvalidTallyError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CitationNetwork:
     """Directed acyclic citation graph, papers indexed 0..n-1 in arrival
     order, in CSR form: paper t cites indices[indptr[t]:indptr[t + 1]]
     (all < t, no duplicates, in first-occurrence order); in_degree[i]
-    counts the rows containing i."""
+    counts the rows containing i.  Two networks are equal when they have
+    the same edges; like their arrays, networks are unhashable."""
 
     indptr: np.ndarray
     indices: np.ndarray
     in_degree: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CitationNetwork):
+            return NotImplemented
+        # in_degree follows from the edges
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(
+            self.indices, other.indices
+        )
+
+    __hash__ = None
 
     @property
     def n_papers(self) -> int:

@@ -289,6 +289,16 @@ class TestParse:
         )
         assert code == 1
 
+    def test_non_utf8_input_is_an_io_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"p2,J\xe9.Phys.C,6,1181,1973\n")
+        code, payload = run_strict_json(
+            capsys, "parse", "--input", str(path), "--canonical", self.CANONICAL,
+        )
+        assert code == 1
+        assert payload["error"]["type"] == "UnicodeDecodeError"
+        assert str(path) in payload["error"]["message"]
+
     def test_malformed_canonical(self, capsys, data_dir):
         code, payload = run_json(
             capsys, "parse", "--input", str(data_dir / "kt60.csv"),
@@ -335,6 +345,36 @@ class TestDist:
             "--out-prefix", str(tmp_path / "o"),
         )
         assert code == 1
+
+    def test_negative_count_names_the_first(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        a.write_text("3\n-2\n5\n-7\n")
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", str(a), "--out-prefix", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert payload["error"]["message"] == f"bad counts file: negative count -2 in {a}"
+
+    def test_count_beyond_int64_is_rejected(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        a.write_text(f"1\n{2**63}\n")
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", str(a), "--out-prefix", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert payload["error"]["message"] == f"bad counts file: count beyond the int64 range in {a}"
+
+    def test_non_utf8_counts_file_is_an_io_error(self, capsys, tmp_path):
+        good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+        good.write_text("1\n2\n")
+        bad.write_bytes(b"1\n\xff2\n")
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", str(good), str(bad),
+            "--out-prefix", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert payload["error"]["type"] == "UnicodeDecodeError"
+        assert str(bad) in payload["error"]["message"]
 
     def test_rcs_dump_ccdf_matches_renowned_fraction(self, capsys, tmp_path):
         # pipe a network dump through dist: the CCDF value at the

@@ -39,6 +39,15 @@ def mpmath_log10_tail(n: int, p, k: int) -> float:
         return float(mp.log10(total))
 
 
+def mpmath_log10_tails(n: int, p: float) -> list[float]:
+    """log10 P(X >= k) for every k in 0..n, each the sum of every term
+    from k to n in 60-digit arithmetic; for small n."""
+    with mp.workdps(60):
+        p = mp.mpf(p)
+        terms = [mp.binomial(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+        return [float(mp.log10(mp.fsum(terms[k:]))) for k in range(n + 1)]
+
+
 class TestBinomialLog10Tail:
     def test_threshold_zero_is_certain(self):
         for n, p in [(10, 0.3), (350000, 1 / 24000), (1, 0.0)]:
@@ -85,6 +94,24 @@ class TestBinomialLog10Tail:
                 math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(k)
             )
             assert upper + lower == pytest.approx(1.0, abs=1e-10)
+
+    def test_at_and_below_mode_match_mpmath(self):
+        # the tail at k <= mode is one minus the lower sum; k = mode + 1
+        # is the first threshold summed upward
+        for n in range(1, 41):
+            for p in (0.02, 0.3, 0.5, 0.77, 0.99):
+                mode = int(n * p)
+                want = mpmath_log10_tails(n, p)
+                for k in range(1, min(mode + 1, n) + 1):
+                    got = binomial_log10_tail(BinomialTailQuery(n, p, k))
+                    assert got == pytest.approx(want[k], abs=1e-13), (n, p, k)
+
+    def test_far_below_mode_is_exactly_certain(self):
+        # P(X >= 1) = 1 - 0.7**1e6 is 1 in double precision; a sum of the
+        # upper tail over its 3e5 terms lands about 3e-10 away
+        got = binomial_log10_tail(BinomialTailQuery(10**6, 0.3, 1))
+        assert got == 0.0
+        assert math.copysign(1.0, got) == 1.0
 
     def test_degenerate_probabilities(self):
         assert binomial_log10_tail(BinomialTailQuery(10, 0.0, 3)) == -math.inf

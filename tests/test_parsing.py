@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from citecopy import (
     CanonicalRef,
@@ -15,6 +16,27 @@ from citecopy import (
 from citecopy.parsing import classification_dict, normalize_tuple
 
 KT_CANONICAL = CanonicalRef("J.Phys.C", "6", "1181", "1973")
+
+# raw field values: surface variants of the canonical fields (whitespace,
+# case, leading zeros, page ranges) next to genuine misprints
+RAW_RENDERINGS = st.tuples(
+    st.sampled_from(["J.Phys.C", " j.phys.c", "J.PHYS.C ", "J.Phys.  C", "J.Phys.B"]),
+    st.sampled_from(["6", "06", "006 ", "7", "0", "00"]),
+    st.sampled_from(["1181", "01181", "1181-1203", "1181–90", "1118", "181"]),
+    st.sampled_from(["1973", " 1973", "1937", "1973\t"]),
+)
+
+
+def reference_classify(records, canonical):
+    """classify's contract, written out with one normalization per record:
+    (variant, members) in first-appearance order, and N."""
+    target = canonical.normalized()
+    groups = {}
+    for rec in records:
+        t = normalize_tuple(rec.journal, rec.volume, rec.page, rec.year)
+        if t != target:
+            groups.setdefault(t, []).append(rec.source_id)
+    return [(v, tuple(m)) for v, m in groups.items()], len(records)
 
 
 def make_record(i, journal="J.Phys.C", volume="6", page="1181", year="1973"):
@@ -117,6 +139,24 @@ class TestClassify:
     def test_invalid_canonical(self):
         with pytest.raises(InvalidTallyError):
             classify([], CanonicalRef("", "6", "1181", "1973"))
+
+    @given(
+        st.lists(RAW_RENDERINGS, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=80)
+        )
+    )
+    def test_repeated_renderings_match_per_record_normalization(self, renderings):
+        # copied citations repeat a few raw renderings verbatim
+        records = [CitationRecord(f"p{i}", *raw) for i, raw in enumerate(renderings)]
+        tally, classes = classify(records, KT_CANONICAL)
+        expected, n = reference_classify(records, KT_CANONICAL)
+        assert [(c.variant, c.members) for c in classes] == expected
+        assert all(c.multiplicity == len(c.members) for c in classes)
+        assert (tally.distinct, tally.total, tally.citations) == (
+            len(expected),
+            sum(len(m) for _, m in expected),
+            n,
+        )
 
 
 class TestTopMisprints:

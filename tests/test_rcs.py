@@ -47,6 +47,13 @@ class TestSimulateRcs:
         assert a.out_lists == b.out_lists
         assert np.array_equal(a.in_degree, b.in_degree)
 
+    def test_equality_compares_edges(self):
+        cfg = RcsConfig(500, 3, 0.25, 42)
+        assert simulate_rcs(cfg) == simulate_rcs(cfg)
+        assert simulate_rcs(cfg) != simulate_rcs(RcsConfig(500, 3, 0.25, 43))
+        with pytest.raises(TypeError):
+            hash(simulate_rcs(cfg))
+
     def test_invariants_over_random_configs(self):
         rng = np.random.default_rng(0)
         for _ in range(15):
