@@ -5,9 +5,19 @@ fraction), `simulate-rcs` (citation network growth), `oracle` (copy-chain
 round-trip validation), `tail` (equal-papers binomial null), `parse`
 (citation records to tally), and `dist` (CCDF / histogram / KS).
 
-All machine output is JSON on stdout, with the run manifest embedded
-under the "manifest" key.  Exit codes: 0 success, 1 I/O failure,
-2 domain or validation error.
+Every argv gets JSON on stdout with the run manifest under "manifest";
+exit 0 is success.  Each `cmd_*` function returns its payload and
+raises on error, which `main` reports under "error" as {"type",
+"message"}, with the type and exit code from one table, `ERRORS`:
+
+    exit 2  a CitecopyError, typed by its class name; UsageError (argv
+            that argparse rejects; the manifest's subcommand is null);
+            OverflowError; ValueError (a bad counts file, or an array
+            size past numpy's limits)
+    exit 1  IOError; UnicodeDecodeError (an input file that is not
+            UTF-8); MemoryError
+
+The one exception is `-h`/`--help`: human-readable usage, exit 0.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 
@@ -26,21 +37,31 @@ from .distributions import CountSample, ccdf, ks_distance, log_bin_histogram
 from .errors import CitecopyError, InvalidTallyError
 from .estimator import MisprintTally, corrected_read_fraction
 from .nullmodel import BinomialTailQuery, binomial_log10_tail, expected_count
-from .parsing import CanonicalRef, classification_dict, classify, parse_records
+from .parsing import CanonicalRef, classify, parse_records, top_misprints
 from .rcs import RcsConfig, degree_stats, renowned_fraction, simulate_rcs
 
-EXIT_OK = 0
-EXIT_IO = 1
-EXIT_DOMAIN = 2
+EXIT_OK, EXIT_IO, EXIT_DOMAIN = 0, 1, 2
 
 
-def _manifest(subcommand: str, params: dict, seed: int | None) -> dict:
-    return {
-        "subcommand": subcommand,
-        "parameters": {k: v for k, v in params.items()},
-        "seed": seed,
-        "tool_version": __version__,
-    }
+class UsageError(CitecopyError):
+    """argv that the argument parser rejects."""
+
+
+class NotUtf8Error(Exception):
+    """An input file that is not UTF-8 text; the message names the file."""
+
+
+# The first row whose class an exception is an instance of gives its exit
+# code and reported type (None: the exception's class name).  NotUtf8Error
+# stands for a UnicodeDecodeError, a ValueError, so it precedes that row.
+ERRORS = (
+    (CitecopyError, EXIT_DOMAIN, None),
+    (OSError, EXIT_IO, "IOError"),
+    (NotUtf8Error, EXIT_IO, "UnicodeDecodeError"),
+    (MemoryError, EXIT_IO, "MemoryError"),
+    (OverflowError, EXIT_DOMAIN, "OverflowError"),
+    (ValueError, EXIT_DOMAIN, "ValueError"),
+)
 
 
 def _strict(value):
@@ -55,349 +76,181 @@ def _strict(value):
     return value
 
 
-def _emit(payload: dict) -> None:
-    json.dump(_strict(payload), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _lines(path: str):
+    """Lines of the UTF-8 text file at `path`, read as they are consumed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise NotUtf8Error(f"{path}: {exc}") from exc
 
 
-def _emit_error(manifest: dict, kind: str, message: str) -> None:
-    _emit({"manifest": manifest, "error": {"type": kind, "message": message}})
+def _estimate_dict(tally: MisprintTally) -> dict:
+    est = corrected_read_fraction(tally)
+    return {
+        "naive_r": est.naive_r,
+        "corrected_r": est.corrected_r,
+        "n_p": est.propagation_factor,
+        "n_c": est.copy_factor,
+        "M": est.misprint_prob,
+    }
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    manifest = _manifest(
-        "estimate",
-        {"distinct": args.distinct, "total": args.total, "citations": args.citations},
-        None,
-    )
-    try:
-        est = corrected_read_fraction(
-            MisprintTally(args.distinct, args.total, args.citations)
-        )
-    except CitecopyError as exc:
-        _emit_error(manifest, type(exc).__name__, str(exc))
-        return EXIT_DOMAIN
-    _emit(
-        {
-            "manifest": manifest,
-            "naive_r": est.naive_r,
-            "corrected_r": est.corrected_r,
-            "n_p": est.propagation_factor,
-            "n_c": est.copy_factor,
-            "M": est.misprint_prob,
-        }
-    )
-    return EXIT_OK
+def cmd_estimate(args: argparse.Namespace) -> dict:
+    return _estimate_dict(MisprintTally(args.distinct, args.total, args.citations))
 
 
-def cmd_simulate_rcs(args: argparse.Namespace) -> int:
-    manifest = _manifest(
-        "simulate-rcs",
-        {
-            "papers": args.papers,
-            "m": args.m,
-            "p": args.p,
-            "threshold": args.threshold,
-            "runs": args.runs,
-            "dump": args.dump,
+def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
+    # every argument is checked before the first network is grown
+    if args.runs < 1:
+        raise InvalidTallyError("runs must be >= 1")
+    RcsConfig(args.papers, args.m, args.p, args.seed).validate()
+    if args.threshold < 1:
+        raise InvalidTallyError("threshold must be >= 1")
+    runs = []
+    for i, s in enumerate(trial_seeds(args.seed, args.runs)):
+        net = simulate_rcs(RcsConfig(args.papers, args.m, args.p, int(s)))
+        count, fraction = renowned_fraction(net, args.threshold)
+        stats = asdict(degree_stats(net))
+        runs.append({"run": i, **stats, "renowned_count": count, "renowned_fraction": fraction})
+        if i == 0 and args.dump:
+            _dump_network(args.dump, net, stats, args.threshold, count)
+
+    def mean(key: str) -> float:
+        return float(np.mean([r[key] for r in runs]))
+
+    return {
+        "runs": runs,
+        "ensemble": {
+            "mean_total_edges": mean("total_edges"),
+            "mean_in_degree": mean("mean_in_degree"),
+            "mean_renowned_count": mean("renowned_count"),
+            "mean_renowned_fraction": mean("renowned_fraction"),
         },
-        args.seed,
-    )
-    per_run = []
-    try:
-        # every argument is checked before the first network is grown
-        if args.runs < 1:
-            raise InvalidTallyError("runs must be >= 1")
-        RcsConfig(args.papers, args.m, args.p, args.seed).validate()
-        if args.threshold < 1:
-            raise InvalidTallyError("threshold must be >= 1")
-        for i, s in enumerate(trial_seeds(args.seed, args.runs)):
-            net = simulate_rcs(RcsConfig(args.papers, args.m, args.p, int(s)))
-            count, fraction = renowned_fraction(net, args.threshold)
-            stats = degree_stats(net)
-            per_run.append(
-                {
-                    "run": i,
-                    "total_edges": stats.total_edges,
-                    "mean_in_degree": stats.mean_in_degree,
-                    "max_in_degree": stats.max_in_degree,
-                    "renowned_count": count,
-                    "renowned_fraction": fraction,
-                }
-            )
-            if i == 0 and args.dump:
-                try:
-                    _dump_network(args.dump, net, args.threshold, count)
-                except OSError as exc:
-                    _emit_error(manifest, "IOError", str(exc))
-                    return EXIT_IO
-    except CitecopyError as exc:
-        _emit_error(manifest, type(exc).__name__, str(exc))
-        return EXIT_DOMAIN
-    _emit(
-        {
-            "manifest": manifest,
-            "runs": per_run,
-            "ensemble": {
-                "mean_total_edges": float(np.mean([r["total_edges"] for r in per_run])),
-                "mean_in_degree": float(np.mean([r["mean_in_degree"] for r in per_run])),
-                "mean_renowned_count": float(
-                    np.mean([r["renowned_count"] for r in per_run])
-                ),
-                "mean_renowned_fraction": float(
-                    np.mean([r["renowned_fraction"] for r in per_run])
-                ),
-            },
-        }
-    )
-    return EXIT_OK
+    }
 
 
-def _dump_network(path: str, net, threshold: int, renowned_count: int) -> None:
+def _dump_network(path: str, net, stats: dict, threshold: int, renowned_count: int) -> None:
     # one CSR row at a time, so that no list of all references is built
     bounds = net.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for idx, (a, b) in enumerate(zip(bounds, bounds[1:])):
             fh.write(f"{idx}: {' '.join(map(str, net.indices[a:b].tolist()))}\n")
-        fh.write(
-            json.dumps(
-                {
-                    "n_papers": net.n_papers,
-                    "total_edges": net.total_edges,
-                    "mean_in_degree": float(net.in_degree.mean()),
-                    "max_in_degree": int(net.in_degree.max()),
-                    "renowned_threshold": threshold,
-                    "renowned_count": renowned_count,
-                }
-            )
-            + "\n"
-        )
+        summary = {"n_papers": net.n_papers, **stats, "renowned_threshold": threshold}
+        fh.write(json.dumps({**summary, "renowned_count": renowned_count}) + "\n")
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    manifest = _manifest(
-        "oracle",
-        {
-            "citations": args.citations,
-            "read_prob": args.read_prob,
-            "misprint_prob": args.misprint_prob,
-            "trials": args.trials,
-            "dump": args.dump,
-        },
-        args.seed,
-    )
-    config = CopyChainConfig(
-        n_citations=args.citations,
-        read_prob=args.read_prob,
-        misprint_prob=args.misprint_prob,
-        seed=args.seed,
-    )
-    try:
-        summary = estimator_roundtrip(config, args.trials)
-        if args.dump:
-            first = CopyChainConfig(
-                n_citations=args.citations,
-                read_prob=args.read_prob,
-                misprint_prob=args.misprint_prob,
-                seed=int(trial_seeds(args.seed, 1)[0]),
-            )
-            outcome = simulate_copy_chain(first)
-            try:
-                _dump_outcome(args.dump, outcome)
-            except OSError as exc:
-                _emit_error(manifest, "IOError", str(exc))
-                return EXIT_IO
-    except CitecopyError as exc:
-        _emit_error(manifest, type(exc).__name__, str(exc))
-        return EXIT_DOMAIN
-    _emit(
-        {
-            "manifest": manifest,
-            "trials": summary.trials,
-            "degenerate": summary.degenerate,
-            "naive_mean": summary.naive_mean,
-            "naive_std": summary.naive_std,
-            "corrected_mean": summary.corrected_mean,
-            "corrected_std": summary.corrected_std,
-            "pooled_naive": summary.pooled_naive,
-            "pooled_corrected": summary.pooled_corrected,
-        }
-    )
-    return EXIT_OK
+def cmd_oracle(args: argparse.Namespace) -> dict:
+    config = CopyChainConfig(args.citations, args.read_prob, args.misprint_prob, args.seed)
+    summary = estimator_roundtrip(config, args.trials)
+    if args.dump:
+        # trial 0 of the round trip, run again for its variants
+        first = replace(config, seed=int(trial_seeds(args.seed, 1)[0]))
+        _dump_outcome(args.dump, simulate_copy_chain(first))
+    # every field but the pooled tally, in field order
+    return {k: v for k, v in asdict(summary).items() if k != "pooled"}
 
 
 def _dump_outcome(path: str, outcome) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for idx, variant in enumerate(outcome.variants):
-            fh.write(f"{idx},{variant}\n")
-        fh.write(
-            json.dumps(
-                {
-                    "D": outcome.tally.distinct,
-                    "T": outcome.tally.total,
-                    "N": outcome.tally.citations,
-                }
-            )
-            + "\n"
-        )
+        fh.writelines(f"{idx},{variant}\n" for idx, variant in enumerate(outcome.variants))
+        fh.write(json.dumps(dict(zip("DTN", astuple(outcome.tally)))) + "\n")
 
 
-def cmd_tail(args: argparse.Namespace) -> int:
-    if args.prob is not None:
-        prob = args.prob
-    elif args.one_in >= 1:
-        prob = 1.0 / args.one_in
-    else:
-        prob = None
-    manifest = _manifest(
-        "tail",
-        {
-            "trials": args.trials,
-            "prob": prob,
-            "threshold": args.threshold,
-            "population": args.population,
-        },
-        None,
-    )
-    try:
-        if prob is None:
-            raise InvalidTallyError("one_in must be >= 1")
-        log10_tail = binomial_log10_tail(
-            BinomialTailQuery(args.trials, prob, args.threshold)
-        )
-        payload = {"manifest": manifest, "log10_tail": log10_tail}
-        if args.population is not None:
-            payload["expected_count"] = expected_count(args.population, log10_tail)
-    except CitecopyError as exc:
-        _emit_error(manifest, type(exc).__name__, str(exc))
-        return EXIT_DOMAIN
-    _emit(payload)
-    return EXIT_OK
+class _OneIn(argparse.Action):
+    """Stores `--one-in N` as prob = 1/N (None for N < 1), as the manifest records it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.prob = 1.0 / values if values >= 1 else None
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
-    manifest = _manifest(
-        "parse",
-        {"input": args.input, "canonical": args.canonical, "estimate": args.estimate},
-        None,
-    )
+def cmd_tail(args: argparse.Namespace) -> dict:
+    if args.prob is None:
+        raise InvalidTallyError("one_in must be >= 1")
+    log10_tail = binomial_log10_tail(BinomialTailQuery(args.trials, args.prob, args.threshold))
+    payload = {"log10_tail": log10_tail}
+    if args.population is not None:
+        payload["expected_count"] = expected_count(args.population, log10_tail)
+    return payload
+
+
+def cmd_parse(args: argparse.Namespace) -> dict:
     fields = [f.strip() for f in args.canonical.split(",")]
     if len(fields) != 4 or not all(fields):
-        _emit_error(
-            manifest,
-            "InvalidTallyError",
-            "canonical must be 'journal,volume,page,year' with nonempty fields",
-        )
-        return EXIT_DOMAIN
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            records, report = parse_records(fh)
-    except OSError as exc:
-        _emit_error(manifest, "IOError", str(exc))
-        return EXIT_IO
-    except UnicodeDecodeError as exc:
-        _emit_error(manifest, "UnicodeDecodeError", f"{args.input}: {exc}")
-        return EXIT_IO
-    try:
-        canonical = CanonicalRef(*fields)
-        tally, classes = classify(records, canonical)
-        payload = {"manifest": manifest, **classification_dict(tally, classes)}
-        payload["rejected"] = [
-            {"line": lineno, "reason": reason} for lineno, reason in report.rejected
-        ]
-        if args.estimate:
-            est = corrected_read_fraction(tally)
-            payload["estimate"] = {
-                "naive_r": est.naive_r,
-                "corrected_r": est.corrected_r,
-                "n_p": est.propagation_factor,
-                "n_c": est.copy_factor,
-                "M": est.misprint_prob,
+        raise InvalidTallyError("canonical must be 'journal,volume,page,year' with nonempty fields")
+    records, report = parse_records(_lines(args.input))
+    tally, classes = classify(records, CanonicalRef(*fields))
+    payload = {
+        "D": tally.distinct,
+        "T": tally.total,
+        "N": tally.citations,
+        # by multiplicity, descending, then first appearance
+        "classes": [
+            {
+                "variant": dict(zip(("journal", "volume", "page", "year"), c.variant)),
+                "multiplicity": c.multiplicity,
+                "members": list(c.members),
             }
-    except CitecopyError as exc:
-        _emit_error(manifest, type(exc).__name__, str(exc))
-        return EXIT_DOMAIN
-    _emit(payload)
-    return EXIT_OK
+            for c in top_misprints(classes, len(classes))
+        ],
+        "rejected": [{"line": lineno, "reason": reason} for lineno, reason in report.rejected],
+    }
+    if args.estimate:
+        payload["estimate"] = _estimate_dict(tally)
+    return payload
 
 
 def _read_counts(path: str) -> CountSample:
-    with open(path, "r", encoding="utf-8") as fh:
-        values = [int(line) for line in map(str.strip, fh) if line and line[0] != "#"]
     try:
+        values = [int(line) for line in map(str.strip, _lines(path)) if line and line[0] != "#"]
         counts = np.array(values, dtype=np.int64)
     except OverflowError as exc:
-        raise ValueError(f"count beyond the int64 range in {path}") from exc
+        raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad counts file: {exc}") from exc
     negative = counts[counts < 0]
     if negative.size:
-        raise ValueError(f"negative count {negative[0]} in {path}")
-    label = os.path.splitext(os.path.basename(path))[0]
-    return CountSample(counts=counts, label=label)
+        raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
+    return CountSample(counts=counts, label=os.path.splitext(os.path.basename(path))[0])
 
 
 def _write_csv(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y in rows:
-            fh.write(f"{x},{y}\n")
+        fh.writelines(f"{x},{y}\n" for x, y in rows)
 
 
-def cmd_dist(args: argparse.Namespace) -> int:
-    manifest = _manifest(
-        "dist",
-        {
-            "counts": args.counts,
-            "bins_per_decade": args.bins_per_decade,
-            "out_prefix": args.out_prefix,
-        },
-        None,
-    )
+def cmd_dist(args: argparse.Namespace) -> dict:
     if len(args.counts) > 2:
-        _emit_error(manifest, "InvalidTallyError", "at most two counts files")
-        return EXIT_DOMAIN
-    samples = []
-    for path in args.counts:
-        try:
-            samples.append(_read_counts(path))
-        except OSError as exc:
-            _emit_error(manifest, "IOError", str(exc))
-            return EXIT_IO
-        except UnicodeDecodeError as exc:
-            _emit_error(manifest, "UnicodeDecodeError", f"{path}: {exc}")
-            return EXIT_IO
-        except ValueError as exc:
-            _emit_error(manifest, "ValueError", f"bad counts file: {exc}")
-            return EXIT_DOMAIN
-    outputs = []
-    curves = []
-    try:
-        for sample in samples:
-            curve = ccdf(sample)
-            curves.append(curve)
-            ccdf_path = f"{args.out_prefix}_{sample.label}_ccdf.csv"
-            _write_csv(ccdf_path, curve.points)
-            entry = {"label": sample.label, "ccdf_csv": ccdf_path}
-            if (sample.counts > 0).any():
-                hist = log_bin_histogram(sample, args.bins_per_decade)
-                hist_path = f"{args.out_prefix}_{sample.label}_hist.csv"
-                _write_csv(hist_path, hist.points)
-                entry["hist_csv"] = hist_path
-                entry["zero_mass"] = hist.zero_mass
-            outputs.append(entry)
-    except CitecopyError as exc:
-        _emit_error(manifest, type(exc).__name__, str(exc))
-        return EXIT_DOMAIN
-    except OSError as exc:
-        _emit_error(manifest, "IOError", str(exc))
-        return EXIT_IO
-    payload = {"manifest": manifest, "outputs": outputs}
+        raise InvalidTallyError("at most two counts files")
+    samples = [_read_counts(path) for path in args.counts]
+    outputs, curves = [], []
+    for sample in samples:
+        curves.append(ccdf(sample))
+        ccdf_path = f"{args.out_prefix}_{sample.label}_ccdf.csv"
+        _write_csv(ccdf_path, curves[-1].points)
+        entry = {"label": sample.label, "ccdf_csv": ccdf_path}
+        if (sample.counts > 0).any():
+            hist = log_bin_histogram(sample, args.bins_per_decade)
+            hist_path = f"{args.out_prefix}_{sample.label}_hist.csv"
+            _write_csv(hist_path, hist.points)
+            entry.update(hist_csv=hist_path, zero_mass=hist.zero_mass)
+        outputs.append(entry)
+    payload = {"outputs": outputs}
     if len(curves) == 2:
-        payload["ks_distance"] = ks_distance(curves[0], curves[1])
-    _emit(payload)
-    return EXIT_OK
+        payload["ks_distance"] = ks_distance(*curves)
+    return payload
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit, so that
+    a bad argv is JSON like every other error; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="citecopy",
         description="Misprint-based reader-fraction estimation and "
         "citation-copying simulation tools",
@@ -433,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prob", type=float, default=None)
-    group.add_argument("--one-in", type=int, default=None)
+    group.add_argument("--one-in", type=int, action=_OneIn, default=argparse.SUPPRESS)
     p.add_argument("--threshold", type=int, required=True)
     p.add_argument("--population", type=int, default=None)
     p.set_defaults(func=cmd_tail)
@@ -454,8 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = argparse.Namespace()  # stays empty when argparse rejects argv
+    try:
+        args = build_parser().parse_args(argv)
+        payload, code = args.func(args), EXIT_OK
+    except tuple(row[0] for row in ERRORS) as exc:
+        code, kind = next((c, k) for cls, c, k in ERRORS if isinstance(exc, cls))
+        payload = {"error": {"type": kind or type(exc).__name__, "message": str(exc)}}
+    params = vars(args)
+    manifest = {
+        "subcommand": params.get("subcommand"),
+        "parameters": {k: v for k, v in params.items() if k not in ("func", "subcommand", "seed")},
+        "seed": params.get("seed"),
+        "tool_version": __version__,
+    }
+    json.dump(_strict({"manifest": manifest, **payload}), sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return code
 
 
 if __name__ == "__main__":

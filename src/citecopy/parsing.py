@@ -27,7 +27,6 @@ __all__ = [
     "parse_records",
     "classify",
     "top_misprints",
-    "classification_dict",
 ]
 
 _WS = re.compile(r"\s+")
@@ -76,9 +75,6 @@ class CitationRecord:
     volume: str
     page: str
     year: str
-
-    def normalized(self) -> tuple[str, str, str, str]:
-        return normalize_tuple(self.journal, self.volume, self.page, self.year)
 
 
 @dataclass(frozen=True)
@@ -158,27 +154,3 @@ def top_misprints(classes: list[MisprintClass], k: int) -> list[MisprintClass]:
         enumerate(classes), key=lambda ic: (-ic[1].multiplicity, ic[0])
     )
     return [c for _, c in ranked[:k]]
-
-
-def classification_dict(tally: MisprintTally, classes: list[MisprintClass]) -> dict:
-    """JSON-ready classification summary, classes sorted by multiplicity
-    descending then first appearance."""
-    ordered = top_misprints(classes, len(classes))
-    return {
-        "D": tally.distinct,
-        "T": tally.total,
-        "N": tally.citations,
-        "classes": [
-            {
-                "variant": {
-                    "journal": c.variant[0],
-                    "volume": c.variant[1],
-                    "page": c.variant[2],
-                    "year": c.variant[3],
-                },
-                "multiplicity": c.multiplicity,
-                "members": list(c.members),
-            }
-            for c in ordered
-        ],
-    }

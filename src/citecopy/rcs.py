@@ -186,18 +186,13 @@ class DegreeStats:
     total_edges: int
     mean_in_degree: float
     max_in_degree: int
-    ccdf_points: tuple[tuple[int, float], ...]  # (threshold, fraction >= threshold)
 
 
 def degree_stats(network: CitationNetwork) -> DegreeStats:
-    """In-degree summary plus CCDF points for distribution comparison."""
-    from .distributions import CountSample, ccdf
-
+    """In-degree summary of a network."""
     deg = network.in_degree
-    curve = ccdf(CountSample(counts=deg, label="in-degree"))
     return DegreeStats(
         total_edges=network.total_edges,
         mean_in_degree=float(deg.mean()),
         max_in_degree=int(deg.max()),
-        ccdf_points=curve.points,
     )

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import citecopy
 from citecopy import MisprintTally, RcsConfig, cli, corrected_read_fraction, simulate_rcs
@@ -299,6 +304,19 @@ class TestParse:
         assert payload["error"]["type"] == "UnicodeDecodeError"
         assert str(path) in payload["error"]["message"]
 
+    def test_classification_json_shape(self, capsys, data_dir):
+        code, payload = run_json(
+            capsys, "parse", "--input", str(data_dir / "kt60.csv"),
+            "--canonical", self.CANONICAL,
+        )
+        assert code == 0
+        assert payload["D"] == 5 and payload["T"] == 16 and payload["N"] == 60
+        mults = [c["multiplicity"] for c in payload["classes"]]
+        assert mults == sorted(mults, reverse=True)
+        for c in payload["classes"]:
+            assert list(c["variant"]) == ["journal", "volume", "page", "year"]
+            assert len(c["members"]) == c["multiplicity"]
+
     def test_malformed_canonical(self, capsys, data_dir):
         code, payload = run_json(
             capsys, "parse", "--input", str(data_dir / "kt60.csv"),
@@ -405,3 +423,200 @@ class TestDist:
         # first row with x >= threshold carries the fraction >= threshold
         frac = next(float(y) for x, y in rows if int(x) >= threshold)
         assert frac == rcs_payload["runs"][0]["renowned_fraction"]
+
+
+NULL_MANIFEST = {
+    "subcommand": None, "parameters": {}, "seed": None, "tool_version": citecopy.__version__,
+}
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--distinct", "x", "--total", "1", "--citations", "2"],
+         "citecopy estimate: argument --distinct: invalid int value: 'x'"),
+        ([], "citecopy: the following arguments are required: subcommand"),
+        (["tail", "--trials", "3"],
+         "citecopy tail: the following arguments are required: --threshold"),
+    ])
+    def test_usage_error_is_json(self, capsys, argv, message):
+        code, payload = run_strict_json(capsys, *argv)
+        assert code == 2
+        assert payload == {
+            "manifest": NULL_MANIFEST,
+            "error": {"type": "UsageError", "message": message},
+        }
+
+    @pytest.mark.parametrize("argv", [["--help"], ["tail", "-h"]])
+    def test_help_is_plain_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: citecopy")
+
+    BIG = str(10**30)
+
+    @pytest.mark.parametrize("argv, code, kind", [
+        (["estimate", "--distinct", "1" * 400, "--total", "2" * 400,
+          "--citations", "3" * 400], 2, "OverflowError"),
+        (["tail", "--trials", "10", "--prob", "0.5", "--threshold", "3",
+          "--population", str(10**400)], 2, "OverflowError"),
+        (["tail", "--trials", "10", "--one-in", str(10**400), "--threshold", "3"],
+         2, "OverflowError"),
+        (["oracle", "--citations", BIG, "--read-prob", "0.3", "--misprint-prob", "0.1",
+          "--seed", "3", "--trials", "2"], 2, "ValueError"),
+        (["oracle", "--citations", "100", "--read-prob", "0.3", "--misprint-prob", "0.1",
+          "--seed", "3", "--trials", BIG], 2, "ValueError"),
+        (["simulate-rcs", "--papers", BIG, "--m", "3", "--p", "0.2", "--seed", "1"],
+         2, "ValueError"),
+        (["simulate-rcs", "--papers", "100", "--m", "3", "--p", "0.2", "--seed", "1",
+          "--runs", BIG], 2, "ValueError"),
+        # a (3, 10**16) float64 block is 2.4e17 bytes, more than a 64-bit
+        # process can map, so the allocation fails before touching memory
+        # whatever the kernel's overcommit policy
+        (["oracle", "--citations", str(10**16), "--read-prob", "0.3",
+          "--misprint-prob", "0.1", "--seed", "3", "--trials", "2"], 1, "MemoryError"),
+    ])
+    def test_resource_and_overflow_rows(self, capsys, argv, code, kind):
+        got, payload = run_strict_json(capsys, *argv)
+        assert got == code
+        assert payload["error"]["type"] == kind
+        # argparse turns --one-in N into 1/N, so that overflow has no parsed argv
+        assert payload["manifest"]["subcommand"] == (None if "--one-in" in argv else argv[0])
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden"
+KT_CANONICAL = "J.Phys.C,6,1181,1973"
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("estimate", ["estimate", "--distinct", "45", "--total", "196", "--citations", "4300"], 0),
+    ("tail", ["tail", "--trials", "350000", "--one-in", "24000", "--threshold", "500",
+              "--population", "24000"], 0),
+    ("parse_estimate", ["parse", "--input", "kt60.csv", "--canonical", KT_CANONICAL,
+                        "--estimate"], 0),
+    ("dist", ["dist", "--counts", "counts_a.txt", "counts_b.txt", "--out-prefix", "dist"], 0),
+    ("parse_missing", ["parse", "--input", "missing.csv", "--canonical", KT_CANONICAL], 1),
+    ("dist_negative", ["dist", "--counts", "negative.txt", "--out-prefix", "dist"], 2),
+])
+def test_golden_bytes(capsys, tmp_path, monkeypatch, data_dir, name, argv, code):
+    # inputs are named relative to the working directory, so stdout does
+    # not depend on where the test runs
+    for path in [data_dir / "kt60.csv", *GOLDEN.glob("*.txt")]:
+        shutil.copy(path, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    got, out = run(capsys, *argv)
+    assert got == code
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    if name == "dist":
+        for golden in GOLDEN.glob("dist_*.csv"):
+            assert (tmp_path / golden.name).read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["simulate-rcs", "--seed", "4", "--runs", "2", "--p", "0.2", "--m", "2", "--papers", "50"],
+     ["papers", "m", "p", "threshold", "runs", "dump"]),
+    (["oracle", "--trials", "3", "--seed", "4", "--misprint-prob", "0.1", "--read-prob", "0.5",
+      "--citations", "50"],
+     ["citations", "read_prob", "misprint_prob", "trials", "dump"]),
+])
+def test_manifest_parameters_follow_the_parser(capsys, argv, keys):
+    code, payload = run_strict_json(capsys, *argv)
+    assert code == 0
+    assert list(payload["manifest"]["parameters"]) == keys
+    assert payload["manifest"]["seed"] == 4
+
+
+# argv fuzzing: the six subcommands with their real flags, small values
+# and strays.  File flags name files in the working directory, which the
+# test makes a fresh temporary one, so nothing is written elsewhere.
+# Hypothesis favours the ends of an integer range, so "rare" is a middle
+# value of one.
+RARE = st.integers(0, 9).map(lambda i: i == 4)
+
+
+def mostly(common, rare):
+    """`common`, or now and then `rare`."""
+    return RARE.flatmap(lambda r: rare if r else common)
+
+
+SMALL_INTS = mostly(
+    st.integers(-3, 200).map(str), st.sampled_from(["nan", "inf", "-inf", "x", "1e3", "-0"])
+)
+SMALL_FLOATS = mostly(
+    st.one_of(st.floats(-1.5, 1.5).map(repr), st.integers(-3, 3).map(str)),
+    st.sampled_from(["nan", "inf", "-inf", "1e-400", "x"]),
+)
+ANY_INPUT = st.sampled_from(["cites.csv", "counts.txt", "latin1.txt", "missing.txt", "adir"])
+OUTPUTS = mostly(st.just("out"), st.sampled_from(["adir", "adir/out", "nodir/out"]))
+FLAGS = {
+    "estimate": {"--distinct": SMALL_INTS, "--total": SMALL_INTS, "--citations": SMALL_INTS},
+    "simulate-rcs": {
+        "--papers": SMALL_INTS, "--m": SMALL_INTS, "--p": SMALL_FLOATS, "--seed": SMALL_INTS,
+        "--threshold": SMALL_INTS, "--runs": SMALL_INTS, "--dump": OUTPUTS,
+    },
+    "oracle": {
+        "--citations": SMALL_INTS, "--read-prob": SMALL_FLOATS, "--misprint-prob": SMALL_FLOATS,
+        "--seed": SMALL_INTS, "--trials": SMALL_INTS, "--dump": OUTPUTS,
+    },
+    "tail": {
+        "--trials": SMALL_INTS, "--prob": SMALL_FLOATS, "--one-in": SMALL_INTS,
+        "--threshold": SMALL_INTS, "--population": SMALL_INTS,
+    },
+    "parse": {
+        "--input": ANY_INPUT,
+        "--canonical": mostly(
+            st.just(KT_CANONICAL), st.sampled_from(["a,b", "J,6,-5,1973", ",,,", "x"])
+        ),
+        "--estimate": st.just([]),
+    },
+    "dist": {
+        "--counts": st.lists(ANY_INPUT, min_size=1, max_size=3),
+        "--bins-per-decade": SMALL_INTS, "--out-prefix": OUTPUTS,
+    },
+}
+STRAYS = st.sampled_from(["x", "--bogus", "-1", "--", "estimate", "0.5", ""])
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(mostly(st.sampled_from(list(FLAGS)), st.sampled_from([None, "bogus"])))
+    argv = [command] if command else []
+    flags = dict(FLAGS.get(command, {}))
+    if command == "tail":  # --prob and --one-in exclude each other
+        del flags[draw(st.sampled_from(["--prob", "--one-in"]))]
+    for flag in draw(st.permutations(list(flags))):
+        if not draw(RARE):
+            value = draw(flags[flag])
+            argv += [flag, value] if isinstance(value, str) else [flag, *value]
+    if draw(RARE):
+        argv.insert(draw(st.integers(0, len(argv))), draw(STRAYS))
+    return argv
+
+
+def _make_fuzz_inputs():
+    with open("cites.csv", "w", encoding="utf-8") as fh:
+        fh.write("p1,J.Phys.C,6,1181,1973\np2,J.Phys.B,6,1181,1973\np3,J.Phys.B,6,1181,1973\n"
+                 "p4,J.Phys.C,7,1181,1973\nbad line\n")
+    with open("counts.txt", "w", encoding="utf-8") as fh:
+        fh.write("# counts\n0\n1\n1\n2\n3\n8\n40\n")
+    with open("latin1.txt", "wb") as fh:
+        fh.write(b"1\np,J\xe9.Phys.C,6,1181,1973\n")
+    os.mkdir("adir")
+
+
+@given(argv=fuzz_argv())
+@settings(max_examples=300, deadline=None)
+def test_every_argv_gets_an_exit_code_and_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _make_fuzz_inputs()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert "Traceback" not in err.getvalue()

@@ -13,7 +13,7 @@ from citecopy import (
     simulate_copy_chain,
     top_misprints,
 )
-from citecopy.parsing import classification_dict, normalize_tuple
+from citecopy.parsing import normalize_tuple
 
 KT_CANONICAL = CanonicalRef("J.Phys.C", "6", "1181", "1973")
 
@@ -183,20 +183,6 @@ class TestTopMisprints:
     def test_negative_k(self):
         with pytest.raises(InvalidTallyError):
             top_misprints([], -1)
-
-
-class TestClassificationDict:
-    def test_json_shape(self, data_dir):
-        with open(data_dir / "kt60.csv") as fh:
-            records, _ = parse_records(fh)
-        tally, classes = classify(records, KT_CANONICAL)
-        payload = classification_dict(tally, classes)
-        assert payload["D"] == 5 and payload["T"] == 16 and payload["N"] == 60
-        mults = [c["multiplicity"] for c in payload["classes"]]
-        assert mults == sorted(mults, reverse=True)
-        first = payload["classes"][0]
-        assert set(first["variant"]) == {"journal", "volume", "page", "year"}
-        assert len(first["members"]) == first["multiplicity"]
 
 
 class TestCopyChainRoundTrip:
