@@ -104,12 +104,12 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
     # every argument is checked before the first network is grown
     if args.runs < 1:
         raise InvalidTallyError("runs must be >= 1")
-    RcsConfig(args.papers, args.m, args.p, args.seed).validate()
+    config = RcsConfig(args.papers, args.m, args.p, args.seed)
     if args.threshold < 1:
         raise InvalidTallyError("threshold must be >= 1")
     runs = []
     for i, s in enumerate(trial_seeds(args.seed, args.runs)):
-        net = simulate_rcs(RcsConfig(args.papers, args.m, args.p, int(s)))
+        net = simulate_rcs(replace(config, seed=int(s)))
         count, fraction = renowned_fraction(net, args.threshold)
         stats = asdict(degree_stats(net))
         runs.append({"run": i, **stats, "renowned_count": count, "renowned_fraction": fraction})
@@ -200,7 +200,7 @@ def cmd_parse(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _read_counts(path: str) -> CountSample:
+def _read_counts(path: str) -> np.ndarray:
     try:
         values = [int(line) for line in map(str.strip, _lines(path)) if line and line[0] != "#"]
         counts = np.array(values, dtype=np.int64)
@@ -211,7 +211,7 @@ def _read_counts(path: str) -> CountSample:
     negative = counts[counts < 0]
     if negative.size:
         raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
-    return CountSample(counts=counts, label=os.path.splitext(os.path.basename(path))[0])
+    return counts
 
 
 def _write_csv(path: str, rows) -> None:
@@ -222,19 +222,25 @@ def _write_csv(path: str, rows) -> None:
 def cmd_dist(args: argparse.Namespace) -> dict:
     if len(args.counts) > 2:
         raise InvalidTallyError("at most two counts files")
-    samples = [_read_counts(path) for path in args.counts]
-    outputs, curves = [], []
-    for sample in samples:
+    labels = [os.path.splitext(os.path.basename(path))[0] for path in args.counts]
+    counts = [_read_counts(path) for path in args.counts]
+    # every curve and histogram is computed before the first file is
+    # written, so that a failing command leaves no files behind
+    outputs, curves, csvs = [], [], []
+    for values, label in zip(counts, labels):
+        sample = CountSample(values, label)
         curves.append(ccdf(sample))
-        ccdf_path = f"{args.out_prefix}_{sample.label}_ccdf.csv"
-        _write_csv(ccdf_path, curves[-1].points)
-        entry = {"label": sample.label, "ccdf_csv": ccdf_path}
-        if (sample.counts > 0).any():
+        entry = {"label": label, "ccdf_csv": f"{args.out_prefix}_{label}_ccdf.csv"}
+        csvs.append((entry["ccdf_csv"], curves[-1].points))
+        if (values > 0).any():
             hist = log_bin_histogram(sample, args.bins_per_decade)
-            hist_path = f"{args.out_prefix}_{sample.label}_hist.csv"
-            _write_csv(hist_path, hist.points)
-            entry.update(hist_csv=hist_path, zero_mass=hist.zero_mass)
+            entry.update(hist_csv=f"{args.out_prefix}_{label}_hist.csv", zero_mass=hist.zero_mass)
+            csvs.append((entry["hist_csv"], hist.points))
         outputs.append(entry)
+    if len(set(labels)) < len(labels):
+        raise InvalidTallyError(f"both counts files have the label {labels[0]!r}; their outputs would collide")
+    for path, rows in csvs:
+        _write_csv(path, rows)
     payload = {"outputs": outputs}
     if len(curves) == 2:
         payload["ks_distance"] = ks_distance(*curves)

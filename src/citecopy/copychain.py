@@ -21,20 +21,12 @@ O(log depth) vectorised rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InsufficientStatisticsError, InvalidTallyError
-from .estimator import MisprintTally, corrected_read_fraction, naive_read_fraction
-
-__all__ = [
-    "CopyChainConfig",
-    "CopyChainOutcome",
-    "RoundtripSummary",
-    "simulate_copy_chain",
-    "estimator_roundtrip",
-]
+from .estimator import MisprintTally, corrected_read_fraction
 
 
 @dataclass(frozen=True)
@@ -52,14 +44,15 @@ class CopyChainConfig:
     misprint_prob: float
     seed: int
 
-    def validate(self) -> None:
-        if self.n_citations < 1:
+    def __post_init__(self) -> None:
+        # written as `not in range`, so that NaN is out of range too
+        if not self.n_citations >= 1:
             raise InvalidTallyError("n_citations must be >= 1")
         if not 0.0 <= self.read_prob <= 1.0:
             raise InvalidTallyError("read_prob must be in [0, 1]")
         if not 0.0 <= self.misprint_prob < 1.0:
             raise InvalidTallyError("misprint_prob must be in [0, 1)")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise InvalidTallyError("seed must be >= 0")
 
 
@@ -71,7 +64,7 @@ class CopyChainOutcome:
 
     variants: tuple[int, ...]
     tally: MisprintTally
-    class_sizes: tuple[int, ...] = field(default=())
+    class_sizes: tuple[int, ...]
 
 
 def _resolve_variants(parent: np.ndarray, corrupt: np.ndarray) -> np.ndarray:
@@ -124,7 +117,6 @@ def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     always sources the original.  Variant ids are 1..D in order of first
     appearance.
     """
-    config.validate()
     variants = _resolve_variants(*_draw_forest(config))
     sizes = np.bincount(variants)[1:]
     tally = MisprintTally(
@@ -167,7 +159,6 @@ def trial_seeds(seed: int, trials: int) -> np.ndarray:
 def estimator_roundtrip(config: CopyChainConfig, trials: int) -> RoundtripSummary:
     """Run `trials` independent chains and apply both estimators to each
     outcome that produced at least one misprint."""
-    config.validate()
     if trials < 1:
         raise InvalidTallyError("trials must be >= 1")
     n = config.n_citations
@@ -178,22 +169,22 @@ def estimator_roundtrip(config: CopyChainConfig, trials: int) -> RoundtripSummar
         # variant ids run 1..D, so the largest is D
         distinct[k] = variants.max()
         total[k] = np.count_nonzero(variants)
-    tallies = [
-        MisprintTally(int(d), int(t), n) for d, t in zip(distinct, total) if t
-    ]
-    if not tallies:
+    tallies = (MisprintTally(int(d), int(t), n) for d, t in zip(distinct, total) if t)
+    estimates = [corrected_read_fraction(t) for t in tallies]
+    if not estimates:
         raise InsufficientStatisticsError("every trial produced zero misprints")
-    naive = np.array([naive_read_fraction(t) for t in tallies])
-    corrected = np.array([corrected_read_fraction(t).corrected_r for t in tallies])
+    naive = np.array([e.naive_r for e in estimates])
+    corrected = np.array([e.corrected_r for e in estimates])
     pooled = MisprintTally(int(distinct.sum()), int(total.sum()), n * trials)
+    pooled_estimate = corrected_read_fraction(pooled)
     return RoundtripSummary(
         trials=trials,
-        degenerate=trials - len(tallies),
+        degenerate=trials - len(estimates),
         naive_mean=float(naive.mean()),
         naive_std=float(naive.std(ddof=1)) if naive.size > 1 else 0.0,
         corrected_mean=float(corrected.mean()),
         corrected_std=float(corrected.std(ddof=1)) if corrected.size > 1 else 0.0,
-        pooled_naive=naive_read_fraction(pooled),
-        pooled_corrected=corrected_read_fraction(pooled).corrected_r,
+        pooled_naive=pooled_estimate.naive_r,
+        pooled_corrected=pooled_estimate.corrected_r,
         pooled=pooled,
     )

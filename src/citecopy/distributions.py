@@ -3,23 +3,12 @@ and a Kolmogorov-Smirnov style distance between step curves."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import InvalidTallyError
-
-__all__ = [
-    "CountSample",
-    "CcdfCurve",
-    "LogBinnedHistogram",
-    "ccdf",
-    "log_bin_histogram",
-    "ks_distance",
-]
 
 
 @dataclass(frozen=True)
@@ -29,6 +18,10 @@ class CountSample:
 
     counts: Sequence[int] | np.ndarray
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if len(self.counts) == 0:
+            raise InvalidTallyError("empty sample")
 
 
 @dataclass(frozen=True)
@@ -40,15 +33,10 @@ class CcdfCurve:
 
     def at(self, threshold: float) -> float:
         """Fraction of items >= threshold, as a step function."""
-        i = bisect_left(self.points, threshold, key=itemgetter(0))
-        if i == len(self.points):
-            return 0.0
-        return self.points[i][1]
+        return float(_steps_at(self, np.array([threshold]))[0])
 
 
 def ccdf(sample: CountSample) -> CcdfCurve:
-    if len(sample.counts) == 0:
-        raise InvalidTallyError("empty sample")
     counts = np.asarray(sample.counts)
     values, occurrences = np.unique(counts, return_counts=True)
     # fraction >= x: cumulative occurrences from the top down
@@ -73,8 +61,6 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     positive-count fraction."""
     if bins_per_decade < 1:
         raise InvalidTallyError("bins_per_decade must be >= 1")
-    if len(sample.counts) == 0:
-        raise InvalidTallyError("empty sample")
     counts = np.asarray(sample.counts)
     positive = counts[counts > 0]
     if positive.size == 0:

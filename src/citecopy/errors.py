@@ -6,7 +6,9 @@ class CitecopyError(Exception):
 
 
 class InvalidTallyError(CitecopyError):
-    """Misprint counts violate 0 <= distinct <= total <= citations."""
+    """An input out of range, such as misprint counts that violate
+    0 <= distinct <= total <= citations.  Each input type raises it when
+    it is constructed with a field out of range."""
 
 
 class InsufficientStatisticsError(CitecopyError):

@@ -17,16 +17,6 @@ from .errors import (
     InvalidTallyError,
 )
 
-__all__ = [
-    "MisprintTally",
-    "ReaderEstimate",
-    "naive_read_fraction",
-    "propagation_factor",
-    "misprint_probability",
-    "copy_factor",
-    "corrected_read_fraction",
-]
-
 
 @dataclass(frozen=True)
 class MisprintTally:
@@ -41,7 +31,7 @@ class MisprintTally:
     total: int
     citations: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         d, t, n = self.distinct, self.total, self.citations
         if not (0 <= d <= t <= n):
             raise InvalidTallyError(
@@ -69,7 +59,6 @@ class ReaderEstimate:
 def naive_read_fraction(tally: MisprintTally) -> float:
     """First-cut read fraction D/T: repeated misprints are copies, the
     rest are presumed readers."""
-    tally.validate()
     if tally.total == 0:
         raise InsufficientStatisticsError("no misprints observed")
     return tally.distinct / tally.total
@@ -77,7 +66,6 @@ def naive_read_fraction(tally: MisprintTally) -> float:
 
 def propagation_factor(tally: MisprintTally) -> float:
     """Average number of times a typical misprint propagates, (T - D)/D."""
-    tally.validate()
     if tally.distinct == 0:
         raise InsufficientStatisticsError("no distinct misprints observed")
     return (tally.total - tally.distinct) / tally.distinct
@@ -85,7 +73,6 @@ def propagation_factor(tally: MisprintTally) -> float:
 
 def misprint_probability(tally: MisprintTally) -> float:
     """Per-citation probability of introducing a fresh misprint, D/N."""
-    tally.validate()
     if tally.citations == 0:
         raise InvalidTallyError("citations must be >= 1")
     return tally.distinct / tally.citations
@@ -121,18 +108,16 @@ def corrected_read_fraction(tally: MisprintTally) -> ReaderEstimate:
     When T = N every citation is misprinted: the copy factor diverges and
     the corrected fraction is 0 (the continuous limit of the formula).
     """
-    tally.validate()
+    # raises when T = 0; past it D, T and N are all positive
+    naive = naive_read_fraction(tally)
+    n_p = propagation_factor(tally)
+    m = misprint_probability(tally)
     d, t, n = tally.distinct, tally.total, tally.citations
-    if t == 0:
-        raise InsufficientStatisticsError("no misprints observed")
-    naive = d / t
-    n_p = (t - d) / d
-    m = d / n
     if t == n:
         n_c = math.inf
         corrected = 0.0
     else:
-        corrected = (d / t) * (n - t) / (n - d)
+        corrected = naive * (n - t) / (n - d)
         denom = d - m * t  # positive whenever t < n, since m = d/n
         n_c = (t - d) / denom
     return ReaderEstimate(

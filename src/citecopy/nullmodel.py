@@ -13,13 +13,6 @@ from dataclasses import dataclass
 
 from .errors import CitecopyError, InvalidTallyError
 
-__all__ = [
-    "BinomialTailQuery",
-    "binomial_log10_tail",
-    "streak_probability",
-    "expected_count",
-]
-
 LN10 = math.log(10.0)
 # stop summing once a term is this many orders of magnitude below the sum
 TERM_CUTOFF_LOG = 40.0 * LN10
@@ -33,7 +26,7 @@ class BinomialTailQuery:
     success_prob: float
     threshold: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.threshold <= self.trials:
             raise InvalidTallyError("need 0 <= threshold <= trials")
         if not 0.0 <= self.success_prob <= 1.0:
@@ -76,7 +69,6 @@ def binomial_log10_tail(query: BinomialTailQuery) -> float:
     threshold far below the mode costs a few terms and gives exactly 0.0
     when P(X <= k - 1) is below double precision.
     """
-    query.validate()
     n, p, k = query.trials, query.success_prob, query.threshold
     if k == 0:
         return 0.0

@@ -19,16 +19,6 @@ from typing import Iterable
 from .errors import InvalidTallyError
 from .estimator import MisprintTally
 
-__all__ = [
-    "CanonicalRef",
-    "CitationRecord",
-    "MisprintClass",
-    "ParseReport",
-    "parse_records",
-    "classify",
-    "top_misprints",
-]
-
 _WS = re.compile(r"\s+")
 _RANGE_SPLIT = re.compile(r"[-–—]")
 
@@ -59,11 +49,12 @@ class CanonicalRef:
     page: str
     year: str
 
-    def normalized(self) -> tuple[str, str, str, str]:
-        t = normalize_tuple(self.journal, self.volume, self.page, self.year)
-        if not all(t):
+    def __post_init__(self) -> None:
+        if not all(self.normalized()):
             raise InvalidTallyError("canonical reference fields must be nonempty")
-        return t
+
+    def normalized(self) -> tuple[str, str, str, str]:
+        return normalize_tuple(self.journal, self.volume, self.page, self.year)
 
 
 @dataclass(frozen=True)
@@ -124,9 +115,7 @@ def classify(
     target = canonical.normalized()
     groups: dict[tuple[str, str, str, str], list[str]] = {}
     normalized: dict[tuple[str, str, str, str], tuple[str, str, str, str]] = {}
-    n = 0
     for rec in records:
-        n += 1
         raw = (rec.journal, rec.volume, rec.page, rec.year)
         t = normalized.get(raw)
         if t is None:
@@ -141,7 +130,7 @@ def classify(
     tally = MisprintTally(
         distinct=len(classes),
         total=sum(c.multiplicity for c in classes),
-        citations=n,
+        citations=len(records),
     )
     return tally, classes
 
@@ -150,7 +139,5 @@ def top_misprints(classes: list[MisprintClass], k: int) -> list[MisprintClass]:
     """The k largest classes, ties broken by first appearance order."""
     if k < 0:
         raise InvalidTallyError("k must be >= 0")
-    ranked = sorted(
-        enumerate(classes), key=lambda ic: (-ic[1].multiplicity, ic[0])
-    )
-    return [c for _, c in ranked[:k]]
+    # sorted is stable, so equal multiplicities keep their order
+    return sorted(classes, key=lambda c: -c.multiplicity)[:k]

@@ -26,15 +26,6 @@ import numpy as np
 
 from .errors import InvalidTallyError
 
-__all__ = [
-    "RcsConfig",
-    "CitationNetwork",
-    "DegreeStats",
-    "simulate_rcs",
-    "renowned_fraction",
-    "degree_stats",
-]
-
 # geometric copy gaps are drawn this many at a time
 GAP_BLOCK = 4096
 
@@ -54,14 +45,15 @@ class RcsConfig:
     p: float
     seed: int
 
-    def validate(self) -> None:
-        if self.m < 1:
+    def __post_init__(self) -> None:
+        # written as `not in range`, so that NaN is out of range too
+        if not self.m >= 1:
             raise InvalidTallyError("m must be >= 1")
-        if self.n_papers < self.m + 1:
+        if not self.n_papers >= self.m + 1:
             raise InvalidTallyError("n_papers must be >= m + 1")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidTallyError("p must be in [0, 1]")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise InvalidTallyError("seed must be >= 0")
 
 
@@ -136,7 +128,6 @@ def simulate_rcs(config: RcsConfig) -> CitationNetwork:
     # load the extension module
     from array import array
 
-    config.validate()
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     n, m, p = config.n_papers, config.m, config.p
     # one flat list of every pick, read m at a time

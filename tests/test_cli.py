@@ -394,6 +394,32 @@ class TestDist:
         assert payload["error"]["type"] == "UnicodeDecodeError"
         assert str(bad) in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "inputs, flags, message",
+        [
+            (["a.txt"], ["--bins-per-decade", "0"], "bins_per_decade must be >= 1"),
+            (["a.txt", "empty.txt"], [], "empty sample"),
+            # both would write o_a_ccdf.csv and o_a_hist.csv
+            (["x/a.txt", "y/a.txt"], [], "both counts files have the label 'a'; their outputs would collide"),
+        ],
+        ids=["no-bins", "empty-second-file", "same-label"],
+    )
+    def test_failure_leaves_no_files(self, capsys, tmp_path, inputs, flags, message):
+        paths = []
+        for name in inputs:
+            path = tmp_path / "in" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("# nothing\n" if name == "empty.txt" else "0\n1\n2\n5\n")
+            paths.append(str(path))
+        out = tmp_path / "out"
+        out.mkdir()
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", *paths, *flags, "--out-prefix", str(out / "o")
+        )
+        assert code == 2
+        assert payload["error"] == {"type": "InvalidTallyError", "message": message}
+        assert list(out.iterdir()) == []
+
     def test_rcs_dump_ccdf_matches_renowned_fraction(self, capsys, tmp_path):
         # pipe a network dump through dist: the CCDF value at the
         # threshold must equal simulate-rcs's renowned fraction
