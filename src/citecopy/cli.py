@@ -214,9 +214,31 @@ def _read_counts(path: str) -> np.ndarray:
     return counts
 
 
-def _write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{x},{y}\n" for x, y in rows)
+def _write_csvs(csvs: list) -> None:
+    """Write every (path, rows) CSV file or none: each goes to a temporary
+    name beside its path, and all are renamed into place once every write
+    has succeeded.  On a failure all that was written is removed, and an
+    OSError names the output path, as a direct write would."""
+    created, placed = [], []
+    try:
+        for path, rows in csvs:
+            temp = f"{path}.{os.getpid()}.tmp"
+            # "x": never write over a file this call did not create
+            with open(temp, "x", encoding="utf-8") as fh:
+                created.append(temp)
+                fh.writelines(f"{x},{y}\n" for x, y in rows)
+        for temp, (path, _) in zip(created, csvs):
+            os.replace(temp, path)
+            placed.append(path)
+    except BaseException as exc:
+        for name in created + placed:
+            try:
+                os.remove(name)
+            except FileNotFoundError:
+                pass  # a temporary already renamed
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 def cmd_dist(args: argparse.Namespace) -> dict:
@@ -239,8 +261,7 @@ def cmd_dist(args: argparse.Namespace) -> dict:
         outputs.append(entry)
     if len(set(labels)) < len(labels):
         raise InvalidTallyError(f"both counts files have the label {labels[0]!r}; their outputs would collide")
-    for path, rows in csvs:
-        _write_csv(path, rows)
+    _write_csvs(csvs)
     payload = {"outputs": outputs}
     if len(curves) == 2:
         payload["ks_distance"] = ks_distance(*curves)

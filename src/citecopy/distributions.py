@@ -3,8 +3,10 @@ and a Kolmogorov-Smirnov style distance between step curves."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from .errors import InvalidTallyError
 @dataclass(frozen=True)
 class CountSample:
     """Citations-per-paper counts with a label for output files; counts
-    may be any integer sequence, a numpy array included."""
+    may be any sequence of nonnegative integers, a numpy array included."""
 
     counts: Sequence[int] | np.ndarray
     label: str = ""
@@ -22,6 +24,8 @@ class CountSample:
     def __post_init__(self) -> None:
         if len(self.counts) == 0:
             raise InvalidTallyError("empty sample")
+        if np.min(self.counts) < 0:
+            raise InvalidTallyError("counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,8 @@ class CcdfCurve:
 
     def at(self, threshold: float) -> float:
         """Fraction of items >= threshold, as a step function."""
-        return float(_steps_at(self, np.array([threshold]))[0])
+        i = bisect_left(self.points, threshold, key=itemgetter(0))
+        return float(self.points[i][1]) if i < len(self.points) else 0.0
 
 
 def ccdf(sample: CountSample) -> CcdfCurve:

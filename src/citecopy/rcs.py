@@ -6,28 +6,32 @@ probability p.  Copying makes already-cited papers more likely to be
 cited again, which is enough to produce the heavy-tailed citation
 distributions seen in real bibliometric data.
 
-Growth draws no random numbers per paper.  The picks of every paper come
-from one (n - m, m) block of uniforms, and the per-reference copy coins
-are replaced by geometric gaps between successive copied references, so
-the loop touches only the references that get copied.  The network is
-stored as compressed sparse rows (CSR): it grows in two compact int64
-arrays, row offsets and cited papers, which are frozen into numpy arrays
-without a copy at the end.  Seeded networks, and so seeded
-`simulate-rcs` output, differ from those of releases before this scheme;
-the statistics they are checked against do not.
+Growth runs level by level, not paper by paper.  The picks of every
+paper come from one (n - m, m) block of uniforms, so each paper's depth
+is known before growth starts: papers 0..m-1 have depth 0, and every
+later paper has 1 + the largest depth among its picks.  All papers of
+one depth cite only shallower papers, so they grow together in numpy:
+one Bernoulli(p) coin per reference of each pick, drawn as one block per
+level in paper order, then one sort that keeps the first occurrence of
+each (paper, reference) pair.  Lists are appended to one pool in the
+order they are grown, and rearranged into compressed sparse rows (CSR),
+row offsets and cited papers, at the end.  The picks are those of
+earlier releases, but the coins are taken in level order, so seeded
+networks, and so seeded `simulate-rcs` output, differ from those of
+releases before this scheme; the statistics they are checked against
+do not.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidTallyError
 
-# geometric copy gaps are drawn this many at a time
-GAP_BLOCK = 4096
+# rows moved from the growth pool into CSR order at a time
+GATHER_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -108,11 +112,25 @@ def _draw_picks(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return picks
 
 
-def _copy_gaps(rng: np.random.Generator, p: float):
-    """Endless stream of geometric(p) gaps between successive copied
-    references: one Bernoulli(p) coin per reference, drawn in blocks."""
-    while True:
-        yield from rng.geometric(p, GAP_BLOCK).tolist()
+def _depths(picks: np.ndarray, m: int) -> np.ndarray:
+    """Depth of every paper: 0 for papers 0..m-1, else 1 + the largest
+    depth among its picks (row t - m of `picks`)."""
+    n = picks.shape[0] + m
+    depth = np.zeros(n, dtype=np.int32)
+    # papers in [lo, 2 lo) pick only below 2 lo, so each doubling block is
+    # iterated to its own fixed point; depths rise from 0 and the number
+    # of passes is the longest chain of picks inside the block
+    lo = m
+    while lo < n:
+        hi = min(2 * lo, n)
+        block = picks[lo - m:hi - m]
+        while True:
+            d = depth[block].max(axis=1) + 1
+            if np.array_equal(d, depth[lo:hi]):
+                break
+            depth[lo:hi] = d
+        lo = hi
+    return depth
 
 
 def simulate_rcs(config: RcsConfig) -> CitationNetwork:
@@ -124,44 +142,66 @@ def simulate_rcs(config: RcsConfig) -> CitationNetwork:
     probability p; duplicates in the combined list are dropped, keeping
     first occurrence.
     """
-    # imported here, so that a CLI call that grows no network does not
-    # load the extension module
-    from array import array
-
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     n, m, p = config.n_papers, config.m, config.p
-    # one flat list of every pick, read m at a time
-    picks = iter(_draw_picks(rng, n, m).ravel().tolist())
-    # the growing network in CSR form: paper t cites
-    # indices[indptr[t]:indptr[t + 1]]
-    indices, indptr = array("q"), array("q", [0])
-    for t in range(m):
-        indices.extend(range(t))
-        indptr.append(len(indices))
-    gap = _copy_gaps(rng, p).__next__ if p > 0.0 else None
-    # offset of the next copied reference in the stream of all references
-    # of all picks, counted from the start of the current pick's list; the
-    # coins are independent, so one stream serves every paper.  p = 0
-    # copies nothing.
-    nxt = gap() - 1 if gap else math.inf
-    for chosen in zip(*[picks] * m):
-        raw: list[int] = []
-        for pick in chosen:
-            raw.append(pick)
-            start, size = indptr[pick], indptr[pick + 1] - indptr[pick]
-            while nxt < size:
-                raw.append(indices[start + nxt])
-                nxt += gap()
-            nxt -= size
-        indices.extend(dict.fromkeys(raw))
-        indptr.append(len(indices))
-    # the numpy arrays share the grown buffers
-    indices = np.frombuffer(indices, dtype=np.int64)
-    return CitationNetwork(
-        np.frombuffer(indptr, dtype=np.int64),
-        indices,
-        np.bincount(indices, minlength=n),
-    )
+    picks = _draw_picks(rng, n, m)
+    depth = _depths(picks, m)
+    # papers level by level, in index order within a level
+    order = np.argsort(depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth))
+    # reference lists in the order they are grown: paper t cites
+    # pool[start[t]:start[t] + length[t]]
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    # sized for the expected references per paper, which solve r = m + m p r,
+    # but at most 4 m of them; the pool at least doubles when it fills
+    pool = np.empty(int(n * m / max(1.0 - m * p, 0.25)), dtype=dtype)
+    start = np.empty(n, dtype=np.int64)
+    length = np.empty(n, dtype=np.int64)
+    length[:m] = np.arange(m)
+    start[:m] = np.cumsum(length[:m]) - length[:m]
+    pos = m * (m - 1) // 2
+    pool[:pos] = [r for t in range(m) for r in range(t)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        papers = order[a:b]
+        chosen = picks[papers - m].ravel()
+        # one coin per reference of every pick, picks in paper order
+        lens = length[chosen]
+        ends = np.cumsum(lens)
+        hits = np.flatnonzero(rng.random(int(ends[-1])) < p)
+        pick_of = np.searchsorted(ends, hits, side="right")
+        # a hit's pool slot: its pick's first reference plus its offset in
+        # the pick's list
+        copied = pool[(start[chosen] - ends + lens)[pick_of] + hits]
+        # raw lists: each pick followed by what was copied from it, so pick
+        # e and copy i land after the e picks and i copies before them
+        per_pick = np.bincount(pick_of, minlength=chosen.size)
+        raw = np.empty(chosen.size + hits.size, dtype=dtype)
+        raw[np.arange(chosen.size) + np.cumsum(per_pick) - per_pick] = chosen
+        raw[pick_of + np.arange(1, hits.size + 1)] = copied
+        row = np.repeat(np.arange(papers.size), (per_pick + 1).reshape(-1, m).sum(axis=1))
+        # first occurrence of each (paper, reference), in raw order
+        first = np.unique(row * n + raw, return_index=True)[1]
+        first.sort()
+        kept = raw[first]
+        grown = np.bincount(row[first], minlength=papers.size)
+        if pos + kept.size > pool.size:
+            pool = np.concatenate([pool[:pos], np.empty(max(pool.size, kept.size), dtype)])
+        pool[pos:pos + kept.size] = kept
+        start[papers] = pos + np.cumsum(grown) - grown
+        length[papers] = grown
+        pos += kept.size
+    # freed before the CSR arrays exist, which keeps the peak down
+    del picks, order
+    # the pool rearranged into paper order, a few thousand rows at a time
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    indices = np.empty(pos, dtype=np.int64)
+    for a in range(0, n, GATHER_ROWS):
+        b = min(a + GATHER_ROWS, n)
+        lo, hi = indptr[a], indptr[b]
+        src = np.repeat(start[a:b] - indptr[a:b], length[a:b]) + np.arange(lo, hi)
+        indices[lo:hi] = pool[src]
+    return CitationNetwork(indptr, indices, np.bincount(indices, minlength=n))
 
 
 def renowned_fraction(network: CitationNetwork, threshold: int) -> tuple[int, float]:

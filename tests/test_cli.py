@@ -420,6 +420,28 @@ class TestDist:
         assert payload["error"] == {"type": "InvalidTallyError", "message": message}
         assert list(out.iterdir()) == []
 
+    def test_failed_write_leaves_no_files(self, capsys, tmp_path):
+        # a directory where the second file's CCDF goes: the first file's
+        # CSVs are written and then removed again
+        paths = []
+        for name in ("a.txt", "b.txt"):
+            path = tmp_path / "in" / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("0\n1\n2\n5\n")
+            paths.append(str(path))
+        out = tmp_path / "out"
+        (out / "o_b_ccdf.csv").mkdir(parents=True)
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", *paths, "--out-prefix", str(out / "o")
+        )
+        assert code == 1
+        assert payload["error"] == {
+            "type": "IOError",
+            "message": f"[Errno 21] Is a directory: '{out / 'o_b_ccdf.csv'}'",
+        }
+        assert list(out.iterdir()) == [out / "o_b_ccdf.csv"]
+        assert list((out / "o_b_ccdf.csv").iterdir()) == []
+
     def test_rcs_dump_ccdf_matches_renowned_fraction(self, capsys, tmp_path):
         # pipe a network dump through dist: the CCDF value at the
         # threshold must equal simulate-rcs's renowned fraction

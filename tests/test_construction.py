@@ -105,7 +105,7 @@ def test_binomial_tail_query(trials, success_prob, threshold):
     )
 
 
-COUNT_LISTS = st.lists(st.integers(0, 50), max_size=4)
+COUNT_LISTS = st.lists(st.integers(-3, 50), max_size=4)
 
 
 @given(
@@ -116,9 +116,9 @@ COUNT_LISTS = st.lists(st.integers(0, 50), max_size=4)
 )
 def test_count_sample(counts, label):
     assert_checked(
-        lambda counts, label: len(counts) > 0,
+        lambda counts, label: len(counts) > 0 and min(counts) >= 0,
         CountSample((1, 2, 3), "x"),
-        ("empty sample",),
+        ("empty sample", "counts must be nonnegative"),
         counts=counts, label=label,
     )
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from citecopy import (
     renowned_fraction,
     simulate_rcs,
 )
+from citecopy.rcs import _depths, _draw_picks
 
 
 def check_network_invariants(net):
@@ -168,6 +171,80 @@ class TestGrowthLaws:
         observed = np.array(list(cells.values()) + [0] * (60 - len(cells)))
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 <= 59 + Z * np.sqrt(2 * 59)
+
+
+def reference_lists(cfg):
+    """simulate_rcs as a plain loop: the same picks, then papers grown in
+    order of depth (index order within a depth), one coin per reference
+    of each pick, taken in that order."""
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    n, m, p = cfg.n_papers, cfg.m, cfg.p
+    picks = _draw_picks(rng, n, m).tolist()
+    depth = [0] * m
+    for chosen in picks:
+        depth.append(1 + max(depth[q] for q in chosen))
+    lists = [tuple(range(t)) for t in range(m)] + [None] * (n - m)
+    for t in sorted(range(m, n), key=depth.__getitem__):
+        raw = []
+        for q in picks[t - m]:
+            raw.append(q)
+            raw.extend(r for r in lists[q] if rng.random() < p)
+        lists[t] = tuple(dict.fromkeys(raw))
+    return tuple(lists)
+
+
+class TestLevelGrowth:
+    """Growth level by level against the plain loop it replaces."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.7, 1.0])
+    def test_matches_plain_loop(self, m, p):
+        for n in (m + 1, m + 2, 60, 300):
+            for seed in range(3):
+                cfg = RcsConfig(n, m, p, seed)
+                assert simulate_rcs(cfg).out_lists == reference_lists(cfg), cfg
+
+    def test_matches_plain_loop_over_random_configs(self):
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            m = int(rng.integers(1, 7))
+            cfg = RcsConfig(
+                n_papers=int(rng.integers(m + 1, 500)),
+                m=m,
+                p=float(rng.random()),
+                seed=int(rng.integers(0, 2**63)),
+            )
+            assert simulate_rcs(cfg).out_lists == reference_lists(cfg), cfg
+
+    def test_depth_is_one_more_than_deepest_pick(self):
+        rng = np.random.default_rng(3)
+        cases = [
+            (_draw_picks(rng, int(rng.integers(2, 3000)), m), m)
+            for m in (1, 2, 3, 5)
+            for _ in range(5)
+        ]
+        # picks that form one chain: every block needs as many passes as
+        # it has papers
+        cases.append((np.arange(0, 999)[:, None], 1))
+        cases.append((np.stack([np.arange(1, 998), np.arange(0, 997)], axis=1), 2))
+        for picks, m in cases:
+            depth = _depths(picks, m)
+            assert depth.shape == (picks.shape[0] + m,)
+            assert np.all(depth[:m] == 0)
+            assert np.array_equal(depth[m:], depth[picks].max(axis=1) + 1)
+
+    def test_peak_memory_is_a_small_multiple_of_the_network(self):
+        # numpy.random's modules load outside the traced region
+        simulate_rcs(RcsConfig(10, 1, 0.5, 0))
+        for seed in (0, 1):
+            tracemalloc.start()
+            try:
+                net = simulate_rcs(RcsConfig(24000, 3, 0.25, seed))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = net.indptr.nbytes + net.indices.nbytes + net.in_degree.nbytes
+            assert peak <= 3 * size
 
 
 class TestRenownedFraction:
