@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, astuple, replace
 
@@ -200,7 +201,33 @@ def cmd_parse(args: argparse.Namespace) -> dict:
     return payload
 
 
+# a blank or comment line with its line break; a comment ends at "\r"
+# too, since text mode takes a lone "\r" as a line break
+_SKIPPED_LINE = re.compile(rb"^[ \t\f\v]*(?:#[^\r\n]*)?(?:\r\n|\r|\n|\Z)", re.M)
+
+
 def _read_counts(path: str) -> np.ndarray:
+    """The counts in the UTF-8 file at `path`: one integer per line, as
+    `int` reads it, with blank lines and `#` comment lines skipped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")  # a comment that is not UTF-8 fails too
+        # numpy converts each line with int(), in C
+        counts = np.array(_SKIPPED_LINE.sub(b"", data).splitlines(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        # what int() takes from str but not from bytes, such as non-ASCII
+        # digits, and every error, whose message names the failing line
+        counts = _read_counts_per_line(path)
+    negative = counts[counts < 0]
+    if negative.size:
+        raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
+    return counts
+
+
+def _read_counts_per_line(path: str) -> np.ndarray:
+    """`_read_counts` in text mode, one `int(line)` at a time, without the
+    check for negative counts."""
     try:
         values = [int(line) for line in map(str.strip, _lines(path)) if line and line[0] != "#"]
         counts = np.array(values, dtype=np.int64)
@@ -208,9 +235,6 @@ def _read_counts(path: str) -> np.ndarray:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
     except ValueError as exc:
         raise ValueError(f"bad counts file: {exc}") from exc
-    negative = counts[counts < 0]
-    if negative.size:
-        raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
     return counts
 
 

@@ -45,7 +45,8 @@ class CopyChainConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        # written as `not in range`, so that NaN is out of range too
+        # each check is a negated comparison such as `not x >= 1`, so that
+        # NaN, which fails every comparison, fails every check
         if not self.n_citations >= 1:
             raise InvalidTallyError("n_citations must be >= 1")
         if not 0.0 <= self.read_prob <= 1.0:

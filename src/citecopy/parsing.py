@@ -57,9 +57,10 @@ class CanonicalRef:
         return normalize_tuple(self.journal, self.volume, self.page, self.year)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationRecord:
-    """One citing paper's rendering of the reference."""
+    """One citing paper's rendering of the reference.  Slotted, so that a
+    record is one object, not two: it has no `__dict__`."""
 
     source_id: str
     journal: str
@@ -86,21 +87,31 @@ class ParseReport:
 
 def parse_records(lines: Iterable[str]) -> tuple[list[CitationRecord], ParseReport]:
     """Parse the line format above.  Malformed lines are collected in the
-    report rather than raising; empty input yields an empty list."""
+    report rather than raising; empty input yields an empty list.
+
+    Copied citations repeat a few renderings verbatim, so the text after
+    the first comma is split and stripped once per distinct rendering,
+    and records of one rendering share its field strings."""
     records: list[CitationRecord] = []
     rejected: list[tuple[int, str]] = []
+    # text after the first comma -> its stripped fields
+    tails: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 5:
-            rejected.append((lineno, f"wrong field count: expected 5, got {len(fields)}"))
+        source_id, comma, tail = line.partition(",")
+        rest = tails.get(tail) if comma else ()
+        if rest is None:
+            rest = tails[tail] = tuple(f.strip() for f in tail.split(","))
+        if len(rest) != 4:
+            rejected.append((lineno, f"wrong field count: expected 5, got {len(rest) + 1}"))
             continue
-        if not fields[0]:
+        source_id = source_id.strip()
+        if not source_id:
             rejected.append((lineno, "empty source_id"))
             continue
-        records.append(CitationRecord(*fields))
+        records.append(CitationRecord(source_id, *rest))
     return records, ParseReport(rejected=tuple(rejected))
 
 

@@ -50,7 +50,8 @@ class RcsConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        # written as `not in range`, so that NaN is out of range too
+        # each check is a negated comparison such as `not x >= 1`, so that
+        # NaN, which fails every comparison, fails every check
         if not self.m >= 1:
             raise InvalidTallyError("m must be >= 1")
         if not self.n_papers >= self.m + 1:
@@ -119,16 +120,20 @@ def _depths(picks: np.ndarray, m: int) -> np.ndarray:
     depth = np.zeros(n, dtype=np.int32)
     # papers in [lo, 2 lo) pick only below 2 lo, so each doubling block is
     # iterated to its own fixed point; depths rise from 0 and the number
-    # of passes is the longest chain of picks inside the block
+    # of passes is the longest chain of picks inside the block.  After
+    # the first pass only the rows that pick inside the block can change.
     lo = m
     while lo < n:
         hi = min(2 * lo, n)
         block = picks[lo - m:hi - m]
+        depth[lo:hi] = depth[block].max(axis=1) + 1
+        rows = np.flatnonzero((block >= lo).any(axis=1))
+        inner, papers = block[rows], lo + rows
         while True:
-            d = depth[block].max(axis=1) + 1
-            if np.array_equal(d, depth[lo:hi]):
+            d = depth[inner].max(axis=1) + 1
+            if np.array_equal(d, depth[papers]):
                 break
-            depth[lo:hi] = d
+            depth[papers] = d
         lo = hi
     return depth
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -471,6 +472,66 @@ class TestDist:
         # first row with x >= threshold carries the fraction >= threshold
         frac = next(float(y) for x, y in rows if int(x) >= threshold)
         assert frac == rcs_payload["runs"][0]["renowned_fraction"]
+
+
+INVALID_LITERAL = "bad counts file: invalid literal for int() with base 10: "
+BAD_UTF8 = "{path}: 'utf-8' codec can't decode byte 0xff in position "
+
+# counts files that the whole-file reader and the per-line reader must
+# read alike: (bytes, the counts) or (bytes, (exit code, error type,
+# message with the file at {path}))
+COUNTS_EDGE_CASES = {
+    "underscore": (b"1_000\n", [1000]),
+    "plus-sign": (b"+5\n", [5]),
+    "arabic-indic-digit": ("٣\n".encode(), [3]),
+    "padded": (b"  7 \t\n", [7]),
+    "nbsp-line": ("\xa0\n5\n".encode(), [5]),
+    "form-feed-and-vertical-tab-padding": (b"\x0c\n5\x0b\n", [5]),
+    "indented-comment": (b"  # c\n8\n", [8]),
+    # text mode takes a lone "\r" as a line break, so it ends the comment
+    "comment-then-lone-cr": (b"#c\r5\n", [5]),
+    "lone-cr-endings": (b"5\r6\r", [5, 6]),
+    "blank-lines-between-lone-crs": (b"\r\r5\r\r", [5]),
+    "crlf-with-blank-lines": (b"5\r\n\r\n6\r\n", [5, 6]),
+    "last-line-blank-no-newline": (b"5\n  ", [5]),
+    "last-line-comment-no-newline": (b"5\n#end", [5]),
+    "two-on-a-line": (b"1 2\n", (2, "ValueError", INVALID_LITERAL + "'1 2'")),
+    "trailing-comment": (b"5 # x\n", (2, "ValueError", INVALID_LITERAL + "'5 # x'")),
+    "bom": (b"\xef\xbb\xbf5\n", (2, "ValueError", INVALID_LITERAL + "'\\ufeff5'")),
+    "negative": (b"3\n-1\n", (2, "ValueError", "bad counts file: negative count -1 in {path}")),
+    "beyond-int64": (b"%d\n" % 2**64, (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
+    "not-utf8": (b"1\n\xff2\n", (1, "UnicodeDecodeError", BAD_UTF8 + "2: invalid start byte")),
+    "not-utf8-in-comment": (b"#\xff\n1\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1: invalid start byte")),
+    # the position counts from the start of text mode's read chunk
+    "not-utf8-past-8k": (b"1\n" * 5000 + b"\xff\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1808: invalid start byte")),
+}
+
+
+@pytest.mark.parametrize("data, expected", COUNTS_EDGE_CASES.values(), ids=COUNTS_EDGE_CASES)
+def test_counts_reader_edge_cases(capsys, tmp_path, data, expected):
+    path = tmp_path / "c.txt"
+    path.write_bytes(data)
+    if isinstance(expected, list):
+        counts = cli._read_counts(str(path))
+        assert counts.dtype == np.int64 and counts.tolist() == expected
+        assert np.array_equal(cli._read_counts_per_line(str(path)), counts)
+    else:
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", str(path), "--out-prefix", str(tmp_path / "o")
+        )
+        assert (code, payload["error"]) == (
+            expected[0], {"type": expected[1], "message": expected[2].format(path=path)}
+        )
+
+
+@pytest.mark.parametrize("data", [b"# counts\n0\n12\n\n  \n3", b"#c\r5\r\n\r\n6\r", b"1_000\n+5\n 2 \n"])
+def test_counts_reader_reads_valid_files_whole(monkeypatch, tmp_path, data):
+    # comments, blank lines and any line ending stay off the per-line path
+    path = tmp_path / "c.txt"
+    path.write_bytes(data)
+    expected = cli._read_counts_per_line(str(path))
+    monkeypatch.setattr(cli, "_read_counts_per_line", None)
+    assert np.array_equal(cli._read_counts(str(path)), expected)
 
 
 NULL_MANIFEST = {

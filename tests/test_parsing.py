@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from citecopy import (
     CitationRecord,
     CopyChainConfig,
     InvalidTallyError,
+    ParseReport,
     classify,
     parse_records,
     simulate_copy_chain,
@@ -37,6 +39,47 @@ def reference_classify(records, canonical):
         if t != target:
             groups.setdefault(t, []).append(rec.source_id)
     return [(v, tuple(m)) for v, m in groups.items()], len(records)
+
+
+def reference_parse(lines):
+    """parse_records's contract as a plain loop: every line is split and
+    stripped on its own."""
+    records, rejected = [], []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 5:
+            rejected.append((lineno, f"wrong field count: expected 5, got {len(fields)}"))
+            continue
+        if not fields[0]:
+            rejected.append((lineno, "empty source_id"))
+            continue
+        records.append(CitationRecord(*fields))
+    return records, ParseReport(rejected=tuple(rejected))
+
+
+# field text with empty fields, ASCII and Unicode padding, and text that
+# looks like a comment
+RAW_FIELDS = st.sampled_from(
+    ["", " ", "p1", " p2\t", "J.Phys.C", "\u3000J.Phys.C", "6\xa0", " 1181 ", "\u20031973", "#x", "a b"]
+)
+# a line is a field, or a field and a comma before one of a few tails of
+# 1 to 7 fields, so tails repeat as copied citations do
+LINES = st.lists(st.lists(RAW_FIELDS, min_size=1, max_size=7).map(",".join), min_size=1, max_size=4).flatmap(
+    lambda tails: st.lists(
+        st.tuples(
+            st.one_of(
+                RAW_FIELDS,
+                st.tuples(RAW_FIELDS, st.sampled_from(tails)).map(",".join),
+                st.sampled_from(["#", "# a,b,c,d,e", "  #p,J,6,1181,1973", "\xa0"]),
+            ),
+            st.sampled_from(["", "\n", "\r\n"]),
+        ).map("".join),
+        max_size=40,
+    )
+)
 
 
 def make_record(i, journal="J.Phys.C", volume="6", page="1181", year="1973"):
@@ -70,6 +113,25 @@ class TestParseRecords:
     def test_empty_input(self):
         records, report = parse_records([])
         assert records == [] and report.rejected == ()
+
+    @given(LINES)
+    def test_matches_per_line_splitting(self, lines):
+        records, report = parse_records(lines)
+        expected, expected_report = reference_parse(lines)
+        assert records == expected
+        assert report == expected_report
+
+    def test_one_rendering_shares_its_field_strings(self):
+        a, b = parse_records(["p1, J.Phys.C ,6,1181,1973", "p2, J.Phys.C ,6,1181,1973"])[0]
+        assert a.journal == "J.Phys.C"
+        assert all(getattr(a, f) is getattr(b, f) for f in ("journal", "volume", "page", "year"))
+
+    def test_records_are_slotted_and_frozen(self):
+        rec = parse_records(["p1,J.Phys.C,6,1181,1973"])[0][0]
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.page = "1182"
+        assert [f.name for f in dataclasses.fields(rec)] == ["source_id", "journal", "volume", "page", "year"]
 
 
 class TestNormalization:

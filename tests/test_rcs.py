@@ -233,6 +233,16 @@ class TestLevelGrowth:
             assert np.all(depth[:m] == 0)
             assert np.array_equal(depth[m:], depth[picks].max(axis=1) + 1)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_depth_matches_sequential_loop(self, m):
+        rng = np.random.default_rng(4 + m)
+        for n in (m + 1, m + 2, 2 * m + 1, 100, 5000):
+            picks = _draw_picks(rng, n, m)
+            depth = [0] * m
+            for chosen in picks.tolist():
+                depth.append(1 + max(depth[q] for q in chosen))
+            assert _depths(picks, m).tolist() == depth, (n, m)
+
     def test_peak_memory_is_a_small_multiple_of_the_network(self):
         # numpy.random's modules load outside the traced region
         simulate_rcs(RcsConfig(10, 1, 0.5, 0))
