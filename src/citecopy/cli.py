@@ -23,10 +23,10 @@ The one exception is `-h`/`--help`: human-readable usage, exit 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, astuple, replace
 
@@ -77,11 +77,12 @@ def _strict(value):
     return value
 
 
-def _lines(path: str):
-    """Lines of the UTF-8 text file at `path`, read as they are consumed."""
-    with open(path, "r", encoding="utf-8") as fh:
+@contextlib.contextmanager
+def _utf8(path: str):
+    """The UTF-8 file at `path`, open as text without a leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            yield from fh
+            yield fh
         except UnicodeDecodeError as exc:
             raise NotUtf8Error(f"{path}: {exc}") from exc
 
@@ -179,7 +180,8 @@ def cmd_parse(args: argparse.Namespace) -> dict:
     fields = [f.strip() for f in args.canonical.split(",")]
     if len(fields) != 4 or not all(fields):
         raise InvalidTallyError("canonical must be 'journal,volume,page,year' with nonempty fields")
-    records, report = parse_records(_lines(args.input))
+    with _utf8(args.input) as fh:
+        records, report = parse_records(fh)
     tally, classes = classify(records, CanonicalRef(*fields))
     payload = {
         "D": tally.distinct,
@@ -201,40 +203,23 @@ def cmd_parse(args: argparse.Namespace) -> dict:
     return payload
 
 
-# a blank or comment line with its line break; a comment ends at "\r"
-# too, since text mode takes a lone "\r" as a line break
-_SKIPPED_LINE = re.compile(rb"^[ \t\f\v]*(?:#[^\r\n]*)?(?:\r\n|\r|\n|\Z)", re.M)
-
-
 def _read_counts(path: str) -> np.ndarray:
     """The counts in the UTF-8 file at `path`: one integer per line, as
     `int` reads it, with blank lines and `#` comment lines skipped."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with _utf8(path) as fh:
+        # text mode has made every line break "\n"; splitlines() would also
+        # break at characters such as "\x0c" and "\x85" that end no line
+        lines = fh.read().split("\n")
+    kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     try:
-        data.decode("utf-8")  # a comment that is not UTF-8 fails too
-        # numpy converts each line with int(), in C
-        counts = np.array(_SKIPPED_LINE.sub(b"", data).splitlines(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        # what int() takes from str but not from bytes, such as non-ASCII
-        # digits, and every error, whose message names the failing line
-        counts = _read_counts_per_line(path)
-    negative = counts[counts < 0]
-    if negative.size:
-        raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
-    return counts
-
-
-def _read_counts_per_line(path: str) -> np.ndarray:
-    """`_read_counts` in text mode, one `int(line)` at a time, without the
-    check for negative counts."""
-    try:
-        values = [int(line) for line in map(str.strip, _lines(path)) if line and line[0] != "#"]
-        counts = np.array(values, dtype=np.int64)
+        counts = np.array(kept, dtype=np.int64)  # int() on each line, in C
     except OverflowError as exc:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
     except ValueError as exc:
         raise ValueError(f"bad counts file: {exc}") from exc
+    negative = counts[counts < 0]
+    if negative.size:
+        raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
     return counts
 
 

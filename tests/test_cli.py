@@ -305,6 +305,20 @@ class TestParse:
         assert payload["error"]["type"] == "UnicodeDecodeError"
         assert str(path) in payload["error"]["message"]
 
+    def test_leading_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        lines = "p1,J.Phys.C,6,1118,1973\np2,J.Phys.C,6,1181,1973\n"
+        payloads = []
+        for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+            path = tmp_path / name
+            path.write_text(prefix + lines, encoding="utf-8")
+            code, payload = run_json(
+                capsys, "parse", "--input", str(path), "--canonical", self.CANONICAL,
+            )
+            assert code == 0
+            payloads.append({k: v for k, v in payload.items() if k != "manifest"})
+        assert payloads[1] == payloads[0]
+        assert payloads[1]["classes"][0]["members"] == ["p1"]
+
     def test_classification_json_shape(self, capsys, data_dir):
         code, payload = run_json(
             capsys, "parse", "--input", str(data_dir / "kt60.csv"),
@@ -477,9 +491,8 @@ class TestDist:
 INVALID_LITERAL = "bad counts file: invalid literal for int() with base 10: "
 BAD_UTF8 = "{path}: 'utf-8' codec can't decode byte 0xff in position "
 
-# counts files that the whole-file reader and the per-line reader must
-# read alike: (bytes, the counts) or (bytes, (exit code, error type,
-# message with the file at {path}))
+# counts files and what `dist` makes of them: (bytes, the counts) or
+# (bytes, (exit code, error type, message with the file at {path}))
 COUNTS_EDGE_CASES = {
     "underscore": (b"1_000\n", [1000]),
     "plus-sign": (b"+5\n", [5]),
@@ -497,13 +510,20 @@ COUNTS_EDGE_CASES = {
     "last-line-comment-no-newline": (b"5\n#end", [5]),
     "two-on-a-line": (b"1 2\n", (2, "ValueError", INVALID_LITERAL + "'1 2'")),
     "trailing-comment": (b"5 # x\n", (2, "ValueError", INVALID_LITERAL + "'5 # x'")),
-    "bom": (b"\xef\xbb\xbf5\n", (2, "ValueError", INVALID_LITERAL + "'\\ufeff5'")),
+    "bom": (b"\xef\xbb\xbf5\n", [5]),
+    "bom-then-comment": (b"\xef\xbb\xbf# h\n5\n", [5]),
+    # only "\n", "\r" and "\r\n" end a line; str.splitlines() breaks at more
+    "nel-inside-a-line": ("5\x856\n".encode(), (2, "ValueError", INVALID_LITERAL + "'5\\x856'")),
+    "line-separator-inside-a-line": ("5\u20286\n".encode(), (2, "ValueError", INVALID_LITERAL + "'5\\u20286'")),
     "negative": (b"3\n-1\n", (2, "ValueError", "bad counts file: negative count -1 in {path}")),
     "beyond-int64": (b"%d\n" % 2**64, (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
+    # the first line that fails is reported
+    "beyond-int64-then-malformed": (b"%d\nx\n" % 2**64, (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
+    "malformed-then-beyond-int64": (b"x\n%d\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x'")),
     "not-utf8": (b"1\n\xff2\n", (1, "UnicodeDecodeError", BAD_UTF8 + "2: invalid start byte")),
     "not-utf8-in-comment": (b"#\xff\n1\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1: invalid start byte")),
-    # the position counts from the start of text mode's read chunk
-    "not-utf8-past-8k": (b"1\n" * 5000 + b"\xff\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1808: invalid start byte")),
+    # the position is the bad byte's offset in the file
+    "not-utf8-past-8k": (b"1\n" * 5000 + b"\xff\n", (1, "UnicodeDecodeError", BAD_UTF8 + "10000: invalid start byte")),
 }
 
 
@@ -514,7 +534,6 @@ def test_counts_reader_edge_cases(capsys, tmp_path, data, expected):
     if isinstance(expected, list):
         counts = cli._read_counts(str(path))
         assert counts.dtype == np.int64 and counts.tolist() == expected
-        assert np.array_equal(cli._read_counts_per_line(str(path)), counts)
     else:
         code, payload = run_strict_json(
             capsys, "dist", "--counts", str(path), "--out-prefix", str(tmp_path / "o")
@@ -524,14 +543,46 @@ def test_counts_reader_edge_cases(capsys, tmp_path, data, expected):
         )
 
 
-@pytest.mark.parametrize("data", [b"# counts\n0\n12\n\n  \n3", b"#c\r5\r\n\r\n6\r", b"1_000\n+5\n 2 \n"])
-def test_counts_reader_reads_valid_files_whole(monkeypatch, tmp_path, data):
-    # comments, blank lines and any line ending stay off the per-line path
-    path = tmp_path / "c.txt"
-    path.write_bytes(data)
-    expected = cli._read_counts_per_line(str(path))
-    monkeypatch.setattr(cli, "_read_counts_per_line", None)
-    assert np.array_equal(cli._read_counts(str(path)), expected)
+def read_counts_per_line(path):
+    """The reference for `cli._read_counts`: the file's lines as Python's
+    text-mode iterator yields them, each `int(line)` made an int64 in turn,
+    so that the first line that fails is the one reported."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            values = [np.int64(int(line)) for line in map(str.strip, fh) if line and line[0] != "#"]
+        counts = np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad counts file: {exc}") from exc
+    negative = counts[counts < 0]
+    if negative.size:
+        raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
+    return counts
+
+
+COUNTS_PIECES = st.sampled_from([
+    *"0123456789", "+", "-", "_", "٣", "18446744073709551616",
+    " ", "\t", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\ufeff",
+    "#", "# c\n", "\n", "\r", "\r\n",
+])
+
+
+def _read_or_error(read, path):
+    try:
+        return read(path).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(text=st.lists(COUNTS_PIECES, max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_counts_reader_matches_per_line_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        assert _read_or_error(cli._read_counts, path) == _read_or_error(read_counts_per_line, path)
 
 
 NULL_MANIFEST = {
