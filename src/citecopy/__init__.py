@@ -46,7 +46,7 @@ from .nullmodel import (
 )
 from .parsing import (
     CanonicalRef,
-    CitationRecord,
+    CitationTable,
     MisprintClass,
     ParseReport,
     classify,

@@ -79,12 +79,22 @@ def _strict(value):
 
 @contextlib.contextmanager
 def _utf8(path: str):
-    """The UTF-8 file at `path`, open as text without a leading byte-order mark."""
+    """The UTF-8 file at `path`, open as text without a leading byte-order
+    mark.  A decode error names the file and the bad byte's offset in
+    it, past any byte-order mark."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise NotUtf8Error(f"{path}: {exc}") from exc
+            # text mode decodes block by block, so a reader that streams
+            # gets a position within a block: decode the whole file again
+            error = exc
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8-sig")
+                except UnicodeDecodeError as whole:
+                    error = whole
+            raise NotUtf8Error(f"{path}: {error}") from exc
 
 
 def _estimate_dict(tally: MisprintTally) -> dict:
@@ -180,9 +190,11 @@ def cmd_parse(args: argparse.Namespace) -> dict:
     fields = [f.strip() for f in args.canonical.split(",")]
     if len(fields) != 4 or not all(fields):
         raise InvalidTallyError("canonical must be 'journal,volume,page,year' with nonempty fields")
+    # every argument is checked before the input is read
+    canonical = CanonicalRef(*fields)
     with _utf8(args.input) as fh:
-        records, report = parse_records(fh)
-    tally, classes = classify(records, CanonicalRef(*fields))
+        table, report = parse_records(fh)
+    tally, classes = classify(table, canonical)
     payload = {
         "D": tally.distinct,
         "T": tally.total,

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import InvalidTallyError
 from .estimator import MisprintTally
 
@@ -57,16 +59,32 @@ class CanonicalRef:
         return normalize_tuple(self.journal, self.volume, self.page, self.year)
 
 
-@dataclass(frozen=True, slots=True)
-class CitationRecord:
-    """One citing paper's rendering of the reference.  Slotted, so that a
-    record is one object, not two: it has no `__dict__`."""
+@dataclass(frozen=True)
+class CitationTable:
+    """Kept citation records as a table of their distinct renderings:
+    record i, cited by `source_ids[i]`, renders the reference as
+    `renderings[rendering[i]]`, its stripped (journal, volume, page, year).
+    `renderings` has no duplicates and is in order of first appearance.
+    Two tables are equal when their fields are; like their arrays, tables
+    are unhashable."""
 
-    source_id: str
-    journal: str
-    volume: str
-    page: str
-    year: str
+    source_ids: list[str]
+    rendering: np.ndarray
+    renderings: list[tuple[str, str, str, str]]
+
+    def __len__(self) -> int:
+        return len(self.source_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CitationTable):
+            return NotImplemented
+        return (
+            self.source_ids == other.source_ids
+            and self.renderings == other.renderings
+            and np.array_equal(self.rendering, other.rendering)
+        )
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -85,64 +103,80 @@ class ParseReport:
     rejected: tuple[tuple[int, str], ...]
 
 
-def parse_records(lines: Iterable[str]) -> tuple[list[CitationRecord], ParseReport]:
+def parse_records(lines: Iterable[str]) -> tuple[CitationTable, ParseReport]:
     """Parse the line format above.  Malformed lines are collected in the
-    report rather than raising; empty input yields an empty list.
+    report rather than raising; empty input yields an empty table.
 
     Copied citations repeat a few renderings verbatim, so the text after
-    the first comma is split and stripped once per distinct rendering,
-    and records of one rendering share its field strings."""
-    records: list[CitationRecord] = []
+    the first comma is split and stripped once per distinct text."""
+    source_ids: list[str] = []
+    rendering: list[int] = []
+    renderings: list[tuple[str, str, str, str]] = []
     rejected: list[tuple[int, str]] = []
-    # text after the first comma -> its stripped fields
-    tails: dict[str, tuple[str, ...]] = {}
+    # text after the first comma -> its rendering's index, or the reason
+    # its lines are rejected
+    tails: dict[str, int | str] = {}
+    # stripped fields -> their index in renderings; two texts can strip
+    # to the same fields
+    index: dict[tuple[str, ...], int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         source_id, comma, tail = line.partition(",")
-        rest = tails.get(tail) if comma else ()
-        if rest is None:
-            rest = tails[tail] = tuple(f.strip() for f in tail.split(","))
-        if len(rest) != 4:
-            rejected.append((lineno, f"wrong field count: expected 5, got {len(rest) + 1}"))
+        found = tails.get(tail) if comma else "wrong field count: expected 5, got 1"
+        if found is None:
+            fields = tuple(f.strip() for f in tail.split(","))
+            if len(fields) != 4:
+                found = tails[tail] = f"wrong field count: expected 5, got {len(fields) + 1}"
+        if type(found) is str:
+            rejected.append((lineno, found))
             continue
         source_id = source_id.strip()
         if not source_id:
             rejected.append((lineno, "empty source_id"))
             continue
-        records.append(CitationRecord(source_id, *rest))
-    return records, ParseReport(rejected=tuple(rejected))
+        if found is None:
+            # the text's first kept record: a rendering enters the table
+            # only with a record, so that its index is first appearance
+            found = index.get(fields)
+            if found is None:
+                found = index[fields] = len(renderings)
+                renderings.append(fields)
+            tails[tail] = found
+        source_ids.append(source_id)
+        rendering.append(found)
+    table = CitationTable(source_ids, np.array(rendering, dtype=np.intp), renderings)
+    return table, ParseReport(rejected=tuple(rejected))
 
 
-def classify(
-    records: list[CitationRecord], canonical: CanonicalRef
-) -> tuple[MisprintTally, list[MisprintClass]]:
+def classify(table: CitationTable, canonical: CanonicalRef) -> tuple[MisprintTally, list[MisprintClass]]:
     """Group erroneous renderings into classes by exact normalized-tuple
-    equality and derive the misprint tally.
+    equality and derive the misprint tally.  Classes are in order of
+    first appearance, and so are the members of each.
 
-    Copied citations repeat a few renderings verbatim, so each distinct
-    raw rendering is normalized once."""
+    Each distinct rendering is normalized once; records are grouped by
+    their rendering's class in numpy."""
     target = canonical.normalized()
-    groups: dict[tuple[str, str, str, str], list[str]] = {}
-    normalized: dict[tuple[str, str, str, str], tuple[str, str, str, str]] = {}
-    for rec in records:
-        raw = (rec.journal, rec.volume, rec.page, rec.year)
-        t = normalized.get(raw)
-        if t is None:
-            t = normalized[raw] = normalize_tuple(*raw)
-        if t == target:
-            continue
-        groups.setdefault(t, []).append(rec.source_id)
-    classes = [
-        MisprintClass(variant=v, multiplicity=len(members), members=tuple(members))
-        for v, members in groups.items()
-    ]
-    tally = MisprintTally(
-        distinct=len(classes),
-        total=sum(c.multiplicity for c in classes),
-        citations=len(records),
-    )
+    variants: dict[tuple[str, str, str, str], int] = {}
+    # class of each rendering, numbered in order of rendering index; the
+    # canonical class is -1
+    of_rendering = np.empty(len(table.renderings), dtype=np.intp)
+    for i, raw in enumerate(table.renderings):
+        t = normalize_tuple(*raw)
+        of_rendering[i] = -1 if t == target else variants.setdefault(t, len(variants))
+    of_record = of_rendering[table.rendering]
+    sizes = np.bincount(of_record + 1, minlength=len(variants) + 1).tolist()
+    # the canonical records sort first, then each class's in record order
+    order = np.argsort(of_record, kind="stable")[sizes[0] :].tolist()
+    ids = table.source_ids
+    classes = []
+    start = 0
+    for variant, size in zip(variants, sizes[1:]):
+        members = tuple([ids[j] for j in order[start : start + size]])
+        classes.append(MisprintClass(variant=variant, multiplicity=size, members=members))
+        start += size
+    tally = MisprintTally(distinct=len(classes), total=len(order), citations=len(table))
     return tally, classes
 
 

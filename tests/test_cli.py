@@ -305,6 +305,16 @@ class TestParse:
         assert payload["error"]["type"] == "UnicodeDecodeError"
         assert str(path) in payload["error"]["message"]
 
+    def test_decode_error_gives_the_offset_in_the_file(self, capsys, tmp_path):
+        # past text mode's first read block
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"p1,J.Phys.C,6,1181,1973\n" * 500 + b"\xff\n")
+        code, payload = run_strict_json(
+            capsys, "parse", "--input", str(path), "--canonical", self.CANONICAL,
+        )
+        assert code == 1
+        assert "position 12000: invalid start byte" in payload["error"]["message"]
+
     def test_leading_byte_order_mark_is_dropped(self, capsys, tmp_path):
         lines = "p1,J.Phys.C,6,1118,1973\np2,J.Phys.C,6,1181,1973\n"
         payloads = []
@@ -338,6 +348,15 @@ class TestParse:
             "--canonical", "J.Phys.C,6,1181",
         )
         assert code == 2
+
+    def test_canonical_is_checked_before_the_input_is_read(self, capsys, tmp_path):
+        # the page normalizes to empty, and the input does not exist
+        code, payload = run_json(
+            capsys, "parse", "--input", str(tmp_path / "missing.csv"),
+            "--canonical", "J. Phys. C,6,-1181,1973",
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "InvalidTallyError"
 
 
 class TestDist:

@@ -1,12 +1,12 @@
-import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from citecopy import (
     CanonicalRef,
-    CitationRecord,
+    CitationTable,
     CopyChainConfig,
     InvalidTallyError,
     ParseReport,
@@ -30,20 +30,22 @@ RAW_RENDERINGS = st.tuples(
 
 
 def reference_classify(records, canonical):
-    """classify's contract, written out with one normalization per record:
-    (variant, members) in first-appearance order, and N."""
+    """classify's contract, written out with one normalization per record
+    of (source_id, journal, volume, page, year) rows: (variant, members)
+    in first-appearance order, and N."""
     target = canonical.normalized()
     groups = {}
-    for rec in records:
-        t = normalize_tuple(rec.journal, rec.volume, rec.page, rec.year)
+    for source_id, *raw in records:
+        t = normalize_tuple(*raw)
         if t != target:
-            groups.setdefault(t, []).append(rec.source_id)
+            groups.setdefault(t, []).append(source_id)
     return [(v, tuple(m)) for v, m in groups.items()], len(records)
 
 
 def reference_parse(lines):
     """parse_records's contract as a plain loop: every line is split and
-    stripped on its own."""
+    stripped on its own into a (source_id, journal, volume, page, year)
+    row."""
     records, rejected = [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -56,8 +58,21 @@ def reference_parse(lines):
         if not fields[0]:
             rejected.append((lineno, "empty source_id"))
             continue
-        records.append(CitationRecord(*fields))
+        records.append(tuple(fields))
     return records, ParseReport(rejected=tuple(rejected))
+
+
+def rows(table):
+    """The table's records as (source_id, journal, volume, page, year) rows."""
+    return [(sid, *table.renderings[i]) for sid, i in zip(table.source_ids, table.rendering.tolist())]
+
+
+def make_table(records):
+    """The CitationTable of (source_id, journal, volume, page, year) rows."""
+    renderings = list(dict.fromkeys(r[1:] for r in records))
+    index = {r: i for i, r in enumerate(renderings)}
+    rendering = np.array([index[r[1:]] for r in records], dtype=np.intp)
+    return CitationTable([r[0] for r in records], rendering, renderings)
 
 
 # field text with empty fields, ASCII and Unicode padding, and text that
@@ -82,56 +97,86 @@ LINES = st.lists(st.lists(RAW_FIELDS, min_size=1, max_size=7).map(",".join), min
 )
 
 
-def make_record(i, journal="J.Phys.C", volume="6", page="1181", year="1973"):
-    return CitationRecord(f"p{i}", journal, volume, page, year)
+def row(i, journal="J.Phys.C", volume="6", page="1181", year="1973"):
+    return (f"p{i}", journal, volume, page, year)
+
+
+# copied citations repeat a few raw renderings verbatim
+REPEATED_RENDERINGS = st.lists(RAW_RENDERINGS, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=80)
+)
 
 
 class TestParseRecords:
     def test_single_line(self):
-        records, report = parse_records(["p1,J.Phys.C,6,1181,1973"])
-        assert records == [CitationRecord("p1", "J.Phys.C", "6", "1181", "1973")]
+        table, report = parse_records(["p1,J.Phys.C,6,1181,1973"])
+        assert table == make_table([("p1", "J.Phys.C", "6", "1181", "1973")])
+        assert table.rendering.dtype == np.intp
         assert report.rejected == ()
 
     def test_wrong_field_count(self):
-        records, report = parse_records(["p1,J.Phys.C,6,1181"])
-        assert records == []
+        table, report = parse_records(["p1,J.Phys.C,6,1181"])
+        assert len(table) == 0
         assert len(report.rejected) == 1
         assert "wrong field count" in report.rejected[0][1]
 
     def test_messy_fixture(self, data_dir):
         with open(data_dir / "messy10.csv") as fh:
-            records, report = parse_records(fh)
-        assert len(records) == 8
+            table, report = parse_records(fh)
+        assert len(table) == 8
         assert len(report.rejected) == 2
         assert [lineno for lineno, _ in report.rejected] == [4, 7]
 
     def test_comments_and_blanks_skipped(self):
-        records, report = parse_records(["# header", "", "  ", "p1,a,b,c,d"])
-        assert len(records) == 1
+        table, report = parse_records(["# header", "", "  ", "p1,a,b,c,d"])
+        assert len(table) == 1
         assert report.rejected == ()
 
     def test_empty_input(self):
-        records, report = parse_records([])
-        assert records == [] and report.rejected == ()
+        table, report = parse_records([])
+        assert table == make_table([]) and report.rejected == ()
 
     @given(LINES)
     def test_matches_per_line_splitting(self, lines):
-        records, report = parse_records(lines)
+        table, report = parse_records(lines)
         expected, expected_report = reference_parse(lines)
-        assert records == expected
+        assert rows(table) == expected
         assert report == expected_report
 
-    def test_one_rendering_shares_its_field_strings(self):
-        a, b = parse_records(["p1, J.Phys.C ,6,1181,1973", "p2, J.Phys.C ,6,1181,1973"])[0]
-        assert a.journal == "J.Phys.C"
-        assert all(getattr(a, f) is getattr(b, f) for f in ("journal", "volume", "page", "year"))
+    def test_equal_stripped_renderings_share_one_index(self):
+        table, _ = parse_records([
+            " ,J.Phys.C,6,1181-1203,1973",
+            "p1, J.Phys.C ,6,1181,1973",
+            "p2,J.Phys.C,6,1181,1973",
+            "p3,J.Phys.C,6,1181-1203,1973",
+            "p4, J.Phys.C ,6,1181,1973",
+        ])
+        assert table.renderings == [("J.Phys.C", "6", "1181", "1973"), ("J.Phys.C", "6", "1181-1203", "1973")]
+        assert table.rendering.tolist() == [0, 0, 1, 0]
+        assert table.source_ids == ["p1", "p2", "p3", "p4"]
 
-    def test_records_are_slotted_and_frozen(self):
-        rec = parse_records(["p1,J.Phys.C,6,1181,1973"])[0][0]
-        assert not hasattr(rec, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            rec.page = "1182"
-        assert [f.name for f in dataclasses.fields(rec)] == ["source_id", "journal", "volume", "page", "year"]
+    @given(
+        st.tuples(LINES, REPEATED_RENDERINGS).flatmap(
+            lambda pair: st.permutations(pair[0] + [f"c{i},{','.join(raw)}" for i, raw in enumerate(pair[1])])
+        )
+    )
+    def test_parse_and_classify_match_per_line_references(self, lines):
+        table, report = parse_records(lines)
+        tally, classes = classify(table, KT_CANONICAL)
+        records, expected_report = reference_parse(lines)
+        expected, n = reference_classify(records, KT_CANONICAL)
+        assert rows(table) == records
+        assert report == expected_report
+        # every rendering is used, and they come in order of first appearance
+        assert list(dict.fromkeys(table.rendering.tolist())) == list(range(len(table.renderings)))
+        assert len(set(table.renderings)) == len(table.renderings)
+        assert [(c.variant, c.members) for c in classes] == expected
+        assert all(c.multiplicity == len(c.members) for c in classes)
+        assert (tally.distinct, tally.total, tally.citations) == (
+            len(expected),
+            sum(len(m) for _, m in expected),
+            n,
+        )
 
 
 class TestNormalization:
@@ -155,62 +200,57 @@ class TestNormalization:
 
 class TestClassify:
     def test_all_canonical(self):
-        tally, classes = classify([make_record(i) for i in range(10)], KT_CANONICAL)
+        tally, classes = classify(make_table([row(i) for i in range(10)]), KT_CANONICAL)
         assert (tally.distinct, tally.total, tally.citations) == (0, 0, 10)
         assert classes == []
 
     def test_single_cluster(self):
-        records = [make_record(i) for i in range(7)]
-        records += [make_record(i, page="1191") for i in range(7, 10)]
-        tally, classes = classify(records, KT_CANONICAL)
+        records = [row(i) for i in range(7)]
+        records += [row(i, page="1191") for i in range(7, 10)]
+        tally, classes = classify(make_table(records), KT_CANONICAL)
         assert (tally.distinct, tally.total, tally.citations) == (1, 3, 10)
         assert classes[0].multiplicity == 3
 
     def test_hand_counted_fixture(self, data_dir):
         with open(data_dir / "kt60.csv") as fh:
-            records, _ = parse_records(fh)
-        tally, classes = classify(records, KT_CANONICAL)
+            table, _ = parse_records(fh)
+        tally, classes = classify(table, KT_CANONICAL)
         assert (tally.distinct, tally.total, tally.citations) == (5, 16, 60)
         assert sorted((c.multiplicity for c in classes), reverse=True) == [8, 4, 2, 1, 1]
 
     def test_empty_records(self):
-        tally, classes = classify([], KT_CANONICAL)
+        tally, classes = classify(make_table([]), KT_CANONICAL)
         assert (tally.distinct, tally.total, tally.citations) == (0, 0, 0)
         assert classes == []
 
     def test_equivalent_renderings_are_canonical(self):
         records = [
-            make_record(1, journal=" j.phys.c ", volume="06", page="1181-1203"),
+            row(1, journal=" j.phys.c ", volume="06", page="1181-1203"),
         ]
-        tally, _ = classify(records, KT_CANONICAL)
+        tally, _ = classify(make_table(records), KT_CANONICAL)
         assert tally.total == 0
 
     def test_permutation_stability(self, data_dir):
         with open(data_dir / "kt60.csv") as fh:
-            records, _ = parse_records(fh)
-        base_tally, base_classes = classify(records, KT_CANONICAL)
+            records = rows(parse_records(fh)[0])
+        base_tally, base_classes = classify(make_table(records), KT_CANONICAL)
         base_sizes = sorted(c.multiplicity for c in base_classes)
         rng = random.Random(17)
         for _ in range(10):
             shuffled = records[:]
             rng.shuffle(shuffled)
-            tally, classes = classify(shuffled, KT_CANONICAL)
+            tally, classes = classify(make_table(shuffled), KT_CANONICAL)
             assert tally == base_tally
             assert sorted(c.multiplicity for c in classes) == base_sizes
 
     def test_invalid_canonical(self):
         with pytest.raises(InvalidTallyError):
-            classify([], CanonicalRef("", "6", "1181", "1973"))
+            classify(make_table([]), CanonicalRef("", "6", "1181", "1973"))
 
-    @given(
-        st.lists(RAW_RENDERINGS, min_size=1, max_size=6).flatmap(
-            lambda pool: st.lists(st.sampled_from(pool), max_size=80)
-        )
-    )
+    @given(REPEATED_RENDERINGS)
     def test_repeated_renderings_match_per_record_normalization(self, renderings):
-        # copied citations repeat a few raw renderings verbatim
-        records = [CitationRecord(f"p{i}", *raw) for i, raw in enumerate(renderings)]
-        tally, classes = classify(records, KT_CANONICAL)
+        records = [(f"p{i}", *raw) for i, raw in enumerate(renderings)]
+        tally, classes = classify(make_table(records), KT_CANONICAL)
         expected, n = reference_classify(records, KT_CANONICAL)
         assert [(c.variant, c.members) for c in classes] == expected
         assert all(c.multiplicity == len(c.members) for c in classes)
@@ -227,8 +267,8 @@ class TestTopMisprints:
 
     def test_largest_first(self, data_dir):
         with open(data_dir / "kt60.csv") as fh:
-            records, _ = parse_records(fh)
-        _, classes = classify(records, KT_CANONICAL)
+            table, _ = parse_records(fh)
+        _, classes = classify(table, KT_CANONICAL)
         top = top_misprints(classes, 2)
         assert [c.multiplicity for c in top] == [8, 4]
 
@@ -236,8 +276,8 @@ class TestTopMisprints:
         # the two singleton classes: wrong page "181" appears before
         # wrong journal "j.phys.b" in the fixture
         with open(data_dir / "kt60.csv") as fh:
-            records, _ = parse_records(fh)
-        _, classes = classify(records, KT_CANONICAL)
+            table, _ = parse_records(fh)
+        _, classes = classify(table, KT_CANONICAL)
         singles = top_misprints(classes, 5)[3:]
         assert singles[0].variant[2] == "181"
         assert singles[1].variant[0] == "j.phys.b"
@@ -253,7 +293,7 @@ class TestCopyChainRoundTrip:
         records = []
         for i, variant in enumerate(outcome.variants):
             page = "1181" if variant == 0 else str(100000 + variant)
-            records.append(make_record(i, page=page))
-        tally, classes = classify(records, KT_CANONICAL)
+            records.append(row(i, page=page))
+        tally, classes = classify(make_table(records), KT_CANONICAL)
         assert tally == outcome.tally
         assert sorted(c.multiplicity for c in classes) == sorted(outcome.class_sizes)
