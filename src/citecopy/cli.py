@@ -43,6 +43,11 @@ from .rcs import RcsConfig, degree_stats, renowned_fraction, simulate_rcs
 
 EXIT_OK, EXIT_IO, EXIT_DOMAIN = 0, 1, 2
 
+# rows, and values, that `_write_rows` renders into one buffer at a time
+DUMP_BLOCK = 1 << 13
+# 10**1 .. 10**18: an int64 has at most 19 digits
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
 
 class UsageError(CitecopyError):
     """argv that the argument parser rejects."""
@@ -143,13 +148,10 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
 
 
 def _dump_network(path: str, net, stats: dict, threshold: int, renowned_count: int) -> None:
-    # one CSR row at a time, so that no list of all references is built
-    bounds = net.indptr.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            fh.write(f"{idx}: {' '.join(map(str, net.indices[a:b].tolist()))}\n")
+    with open(path, "wb") as fh:
+        _write_rows(fh, net.indptr, net.indices, b": ")
         summary = {"n_papers": net.n_papers, **stats, "renowned_threshold": threshold}
-        fh.write(json.dumps({**summary, "renowned_count": renowned_count}) + "\n")
+        fh.write(json.dumps({**summary, "renowned_count": renowned_count}).encode() + b"\n")
 
 
 def cmd_oracle(args: argparse.Namespace) -> dict:
@@ -164,9 +166,61 @@ def cmd_oracle(args: argparse.Namespace) -> dict:
 
 
 def _dump_outcome(path: str, outcome) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{idx},{variant}\n" for idx, variant in enumerate(outcome.variants))
-        fh.write(json.dumps(dict(zip("DTN", astuple(outcome.tally)))) + "\n")
+    variants = np.asarray(outcome.variants, dtype=np.int64)
+    with open(path, "wb") as fh:
+        _write_rows(fh, np.arange(variants.size + 1), variants, b",")
+        fh.write(json.dumps(dict(zip("DTN", astuple(outcome.tally)))).encode() + b"\n")
+
+
+def _write_rows(fh, indptr: np.ndarray, values: np.ndarray, sep: bytes) -> None:
+    """Write row i of the CSR rows (`indptr`, `values`) of nonnegative
+    int64 to the binary file `fh` as one line: `i` in decimal, `sep`, the
+    row's values in decimal joined by spaces, and a newline.  The text is
+    built in numpy, at most DUMP_BLOCK rows and DUMP_BLOCK values at a
+    time, so that no Python object is made per number and the working
+    memory stays bounded."""
+    a, n = 0, indptr.size - 1
+    while a < n:
+        lo = indptr[a]
+        b = min(a + DUMP_BLOCK, int(np.searchsorted(indptr, lo + DUMP_BLOCK, "right")) - 1)
+        b = max(b, a + 1)  # a row longer than a block is a block of its own
+        fh.write(_render_rows(np.arange(a, b), indptr[a:b + 1] - lo, values[lo:indptr[b]], sep))
+        a = b
+
+
+def _render_rows(heads: np.ndarray, bounds: np.ndarray, values: np.ndarray, sep: bytes) -> np.ndarray:
+    """The text, as uint8, of rows headed `heads` with the values
+    `values[bounds[r]:bounds[r + 1]]`."""
+    counts = np.diff(bounds)
+    first = bounds[:-1] + np.arange(heads.size)  # each head's place among the numbers
+    nums = np.insert(values, bounds[:-1], heads)
+    # bytes after each number: the separator after a head, and the newline
+    # too if its row is empty; one after a value, a space or the newline
+    trail = np.ones(nums.size, dtype=np.int64)
+    trail[first] += len(sep) - 1 + (counts == 0)
+    width = 1 + int(np.count_nonzero(_POWERS_OF_TEN <= nums.max()))
+    ndigits = np.ones(nums.size, dtype=np.int64)
+    for power in _POWERS_OF_TEN[:width - 1]:
+        ndigits += nums >= power
+    # a pad of `width` bytes in front takes the first number's leading zeros
+    end = np.cumsum(ndigits + trail) + width  # just past each number's trailer
+    stop = end - trail  # just past each number's last digit
+    digits = np.empty((width, nums.size), dtype=np.uint8)
+    rest = nums
+    for j in range(width):
+        rest, digits[j] = np.divmod(rest, 10)
+    digits += ord("0")
+    buf = np.empty(end[-1], dtype=np.uint8)
+    # most significant digit first: a short number's leading zeros land on
+    # bytes before it, which a later, less significant pass or one of the
+    # trailer writes below overwrites
+    for j in range(width - 1, -1, -1):
+        buf[stop - 1 - j] = digits[j]
+    buf[stop] = ord(" ")
+    for k, byte in enumerate(sep):
+        buf[stop[first] + k] = byte
+    buf[end[first + counts] - 1] = ord("\n")
+    return buf[width:]
 
 
 class _OneIn(argparse.Action):

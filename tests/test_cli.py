@@ -7,15 +7,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import citecopy
 from citecopy import MisprintTally, RcsConfig, cli, corrected_read_fraction, simulate_rcs
 from citecopy.cli import main
-from citecopy.copychain import trial_seeds
+from citecopy.copychain import CopyChainConfig, simulate_copy_chain, trial_seeds
 
 
 def run(capsys, *argv):
@@ -139,19 +140,22 @@ class TestSimulateRcs:
         assert grown == []
 
     def test_dump_equals_per_row_rendering(self, capsys, tmp_path):
-        dump = tmp_path / "net.txt"
-        code, _ = run_json(
-            capsys, "simulate-rcs", "--papers", "700", "--m", "2", "--p", "0.3",
-            "--seed", "19", "--dump", str(dump),
-        )
-        assert code == 0
-        net = simulate_rcs(RcsConfig(700, 2, 0.3, int(trial_seeds(19, 1)[0])))
-        rows = "".join(
-            f"{idx}: {' '.join(str(r) for r in refs)}\n"
-            for idx, refs in enumerate(net.out_lists)
-        )
-        lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert "".join(lines[:-1]) == rows  # the last line is the summary
+        # 12 000 papers make several of the writer's blocks
+        for papers in (700, 12000):
+            dump = tmp_path / f"net{papers}.txt"
+            code, _ = run_json(
+                capsys, "simulate-rcs", "--papers", str(papers), "--m", "2", "--p", "0.3",
+                "--seed", "19", "--dump", str(dump),
+            )
+            assert code == 0
+            net = simulate_rcs(RcsConfig(papers, 2, 0.3, int(trial_seeds(19, 1)[0])))
+            assert papers < cli.DUMP_BLOCK or net.total_edges > 2 * cli.DUMP_BLOCK
+            rows = "".join(
+                f"{idx}: {' '.join(str(r) for r in refs)}\n"
+                for idx, refs in enumerate(net.out_lists)
+            )
+            lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
+            assert "".join(lines[:-1]) == rows  # the last line is the summary
 
 
 class TestOracle:
@@ -196,6 +200,47 @@ class TestOracle:
         summary = json.loads(lines[-1])
         assert summary["N"] == 50
         assert 0 <= summary["D"] <= summary["T"] <= summary["N"]
+
+    def test_dump_equals_per_row_rendering(self, capsys, tmp_path):
+        dump = tmp_path / "chain.txt"
+        code, _ = run_json(
+            capsys, "oracle", "--citations", "100000", "--read-prob", "0.22",
+            "--misprint-prob", "0.0105", "--seed", "11", "--trials", "1", "--dump", str(dump),
+        )
+        assert code == 0
+        assert 100000 > 2 * cli.DUMP_BLOCK  # several of the writer's blocks
+        outcome = simulate_copy_chain(CopyChainConfig(100000, 0.22, 0.0105, int(trial_seeds(11, 1)[0])))
+        rows = "".join(f"{idx},{variant}\n" for idx, variant in enumerate(outcome.variants))
+        summary = json.dumps(dict(zip("DTN", astuple(outcome.tally))))
+        assert dump.read_bytes() == f"{rows}{summary}\n".encode()
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+# any int64 >= 0, with weight on the ends of each digit count
+DUMP_NUMBERS = st.one_of(
+    st.integers(0, INT64_MAX),
+    st.integers(0, 18).flatmap(lambda k: st.sampled_from([10**k - 1, 10**k])),
+    st.just(INT64_MAX),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(DUMP_NUMBERS, max_size=6), max_size=14),
+    sep=st.sampled_from([b": ", b","]),
+    block=st.sampled_from([1, 2, 5, cli.DUMP_BLOCK]),
+)
+# a short number after a long one: its leading zeros fall on the long one's digits
+@example(rows=[[], [123, 4], [INT64_MAX, 0]], sep=b",", block=cli.DUMP_BLOCK)
+def test_write_rows_equals_per_row_rendering(rows, sep, block):
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    values = np.array([v for row in rows for v in row], dtype=np.int64)
+    fh = io.BytesIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "DUMP_BLOCK", block)
+        cli._write_rows(fh, indptr, values, sep)
+    text = "".join(f"{i}{sep.decode()}{' '.join(map(str, row))}\n" for i, row in enumerate(rows))
+    assert fh.getvalue() == text.encode()
 
 
 class TestTail:
@@ -632,6 +677,18 @@ class TestErrorTable:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: citecopy")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate-rcs", "--papers", "50", "--m", "2", "--p", "0.2", "--seed", "1"],
+        ["oracle", "--citations", "50", "--read-prob", "0.5", "--misprint-prob", "0.2",
+         "--seed", "3", "--trials", "2"],
+    ])
+    def test_dump_to_a_directory_is_io_error(self, capsys, tmp_path, argv):
+        code, payload = run_strict_json(capsys, *argv, "--dump", str(tmp_path))
+        assert code == 1
+        assert payload["error"] == {
+            "type": "IOError", "message": f"[Errno 21] Is a directory: '{tmp_path}'",
+        }
+
     BIG = str(10**30)
 
     @pytest.mark.parametrize("argv, code, kind", [
@@ -676,6 +733,11 @@ KT_CANONICAL = "J.Phys.C,6,1181,1973"
     ("dist", ["dist", "--counts", "counts_a.txt", "counts_b.txt", "--out-prefix", "dist"], 0),
     ("parse_missing", ["parse", "--input", "missing.csv", "--canonical", KT_CANONICAL], 1),
     ("dist_negative", ["dist", "--counts", "negative.txt", "--out-prefix", "dist"], 2),
+    # dump goldens are not named *.txt, which are copied in as inputs
+    ("rcs_dump", ["simulate-rcs", "--papers", "300", "--m", "2", "--p", "0.3", "--seed", "7",
+                  "--dump", "rcs_dump.net"], 0),
+    ("oracle_dump", ["oracle", "--citations", "500", "--read-prob", "0.3", "--misprint-prob",
+                     "0.05", "--seed", "7", "--trials", "3", "--dump", "oracle_dump.chain"], 0),
 ])
 def test_golden_bytes(capsys, tmp_path, monkeypatch, data_dir, name, argv, code):
     # inputs are named relative to the working directory, so stdout does
@@ -689,6 +751,9 @@ def test_golden_bytes(capsys, tmp_path, monkeypatch, data_dir, name, argv, code)
     if name == "dist":
         for golden in GOLDEN.glob("dist_*.csv"):
             assert (tmp_path / golden.name).read_bytes() == golden.read_bytes()
+    if "--dump" in argv:
+        dump = argv[argv.index("--dump") + 1]
+        assert (tmp_path / dump).read_bytes() == (GOLDEN / dump).read_bytes()
 
 
 @pytest.mark.parametrize("argv, keys", [
