@@ -271,18 +271,28 @@ def cmd_parse(args: argparse.Namespace) -> dict:
 
 def _read_counts(path: str) -> np.ndarray:
     """The counts in the UTF-8 file at `path`: one integer per line, as
-    `int` reads it, with blank lines and `#` comment lines skipped."""
+    `int` reads it, with blank lines and `#` comment lines skipped.
+
+    Counts repeat, so each distinct line is stripped and converted once,
+    in order of first appearance: the first line that fails is still the
+    one reported."""
     with _utf8(path) as fh:
         # text mode has made every line break "\n"; splitlines() would also
         # break at characters such as "\x0c" and "\x85" that end no line
         lines = fh.read().split("\n")
-    kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
+    texts = [line.strip() for line in index]
+    kept = np.array([text != "" and text[0] != "#" for text in texts], dtype=bool)
+    values = np.zeros(kept.size, dtype=np.int64)
     try:
-        counts = np.array(kept, dtype=np.int64)  # int() on each line, in C
+        # int() on each kept distinct line, in C
+        values[kept] = np.array([text for text, keep in zip(texts, kept) if keep], dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
     except ValueError as exc:
         raise ValueError(f"bad counts file: {exc}") from exc
+    of_line = np.fromiter(map(index.__getitem__, lines), np.min_scalar_type(len(index)), len(lines))
+    counts = values[of_line[kept[of_line]]]
     negative = counts[counts < 0]
     if negative.size:
         raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
@@ -423,8 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": params.get("seed"),
         "tool_version": __version__,
     }
-    json.dump(_strict({"manifest": manifest, **payload}), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(_strict({"manifest": manifest, **payload}), indent=2) + "\n")
     return code
 
 

@@ -3,6 +3,7 @@ and a Kolmogorov-Smirnov style distance between step curves."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -59,6 +60,30 @@ class LogBinnedHistogram:
     zero_mass: float  # fraction of the sample with count 0
 
 
+def _bin_count(max_count: int, bins_per_decade: int) -> int:
+    """The fewest bins, n >= 1, whose top edge 10.0 ** (n / bins_per_decade)
+    is above `max_count`: what `n = 1; while 10.0 ** (n / bins_per_decade)
+    <= max_count: n += 1` returns, without a step per bin.  That float test
+    turns once as n rises, so the turn is bracketed from the exact answer,
+    floor(bins_per_decade * log10(max_count)) + 1, by doubling steps, then
+    bisected; rounding can put the turn far from that answer when
+    `bins_per_decade` is huge."""
+
+    def above(n: int) -> bool:
+        return n > 0 and 10.0 ** (n / bins_per_decade) > max_count
+
+    hi = max(1, math.floor(bins_per_decade * math.log10(max_count)) + 1)
+    lo, step = hi - 1, 1
+    while not above(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while above(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:  # above(hi), and not above(lo)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return hi
+
+
 def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHistogram:
     """Histogram with `bins_per_decade` geometric bins per decade,
     covering [1, max count].  Density is count-in-bin divided by bin
@@ -72,9 +97,7 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
         raise InvalidTallyError("sample has no positive counts")
     n_total = counts.size
     max_count = int(positive.max())
-    n_bins = 1
-    while 10.0 ** (n_bins / bins_per_decade) <= max_count:
-        n_bins += 1
+    n_bins = _bin_count(max_count, bins_per_decade)
     edges = 10.0 ** (np.arange(n_bins + 1) / bins_per_decade)
     hist, _ = np.histogram(positive, bins=edges)
     widths = np.diff(edges)

@@ -38,8 +38,12 @@ def _norm_page(value: str) -> str:
     return _norm_field(first)
 
 
+# how each of (journal, volume, page, year) is normalized
+_NORMS = (_norm_field, _norm_field, _norm_page, _norm_field)
+
+
 def normalize_tuple(journal: str, volume: str, page: str, year: str) -> tuple[str, str, str, str]:
-    return (_norm_field(journal), _norm_field(volume), _norm_page(page), _norm_field(year))
+    return tuple(norm(text) for norm, text in zip(_NORMS, (journal, volume, page, year)))
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,12 @@ def parse_records(lines: Iterable[str]) -> tuple[CitationTable, ParseReport]:
     # to the same fields
     index: dict[tuple[str, ...], int] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        source_id, comma, tail = line.partition(",")
+        # the raw line's first comma is the stripped line's, and the last
+        # field's strip removes the tail's trailing whitespace
+        source_id, comma, tail = raw.partition(",")
+        source_id = source_id.strip()
+        if source_id.startswith("#") or not (comma or source_id):
+            continue  # a comment or a blank line
         found = tails.get(tail) if comma else "wrong field count: expected 5, got 1"
         if found is None:
             fields = tuple(f.strip() for f in tail.split(","))
@@ -132,7 +138,6 @@ def parse_records(lines: Iterable[str]) -> tuple[CitationTable, ParseReport]:
         if type(found) is str:
             rejected.append((lineno, found))
             continue
-        source_id = source_id.strip()
         if not source_id:
             rejected.append((lineno, "empty source_id"))
             continue
@@ -155,15 +160,17 @@ def classify(table: CitationTable, canonical: CanonicalRef) -> tuple[MisprintTal
     equality and derive the misprint tally.  Classes are in order of
     first appearance, and so are the members of each.
 
-    Each distinct rendering is normalized once; records are grouped by
-    their rendering's class in numpy."""
+    Each distinct field text is normalized once per column (the page
+    column normalizes differently, so no memo spans two columns); records
+    are grouped by their rendering's class in numpy."""
     target = canonical.normalized()
+    normalized = [map({text: norm(text) for text in set(column)}.__getitem__, column)
+                  for column, norm in zip(zip(*table.renderings), _NORMS)]
     variants: dict[tuple[str, str, str, str], int] = {}
     # class of each rendering, numbered in order of rendering index; the
     # canonical class is -1
     of_rendering = np.empty(len(table.renderings), dtype=np.intp)
-    for i, raw in enumerate(table.renderings):
-        t = normalize_tuple(*raw)
+    for i, t in enumerate(zip(*normalized)):
         of_rendering[i] = -1 if t == target else variants.setdefault(t, len(variants))
     of_record = of_rendering[table.rendering]
     sizes = np.bincount(of_record + 1, minlength=len(variants) + 1).tolist()

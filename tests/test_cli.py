@@ -499,6 +499,17 @@ class TestDist:
         assert payload["error"] == {"type": "InvalidTallyError", "message": message}
         assert list(out.iterdir()) == []
 
+    def test_bin_count_numpy_refuses_is_a_value_error(self, capsys, tmp_path):
+        # about 8.1e18 bins: too many bytes for numpy to try to allocate
+        a = tmp_path / "a.txt"
+        a.write_text("123456789\n")
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", str(a), "--bins-per-decade", str(10**18),
+            "--out-prefix", str(tmp_path / "o"),
+        )
+        assert (code, payload["error"]["type"]) == (2, "ValueError")
+        assert list(tmp_path.iterdir()) == [a]
+
     def test_failed_write_leaves_no_files(self, capsys, tmp_path):
         # a directory where the second file's CCDF goes: the first file's
         # CSVs are written and then removed again
@@ -584,6 +595,9 @@ COUNTS_EDGE_CASES = {
     # the first line that fails is reported
     "beyond-int64-then-malformed": (b"%d\nx\n" % 2**64, (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
     "malformed-then-beyond-int64": (b"x\n%d\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x'")),
+    # repeated lines are converted once, in order of first appearance
+    "repeated-malformed-after-beyond-int64": (b"5\nx\n%d\nx\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x'")),
+    "repeated-beyond-int64-then-malformed": (b"%d\n5\nx\n%d\n" % (2**64, 2**64), (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
     "not-utf8": (b"1\n\xff2\n", (1, "UnicodeDecodeError", BAD_UTF8 + "2: invalid start byte")),
     "not-utf8-in-comment": (b"#\xff\n1\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1: invalid start byte")),
     # the position is the bad byte's offset in the file
@@ -646,6 +660,16 @@ def test_counts_reader_matches_per_line_reference(text):
         path = os.path.join(tmp, "c.txt")
         with open(path, "wb") as fh:
             fh.write(text.encode())
+        assert _read_or_error(cli._read_counts, path) == _read_or_error(read_counts_per_line, path)
+
+
+@given(lines=st.lists(st.sampled_from(["x", "18446744073709551616", "-3", "٣", " 7 ", "# c", "", "5"]), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_counts_reader_matches_per_line_reference_on_repeated_lines(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.txt")
+        with open(path, "wb") as fh:
+            fh.write("\n".join(lines).encode())
         assert _read_or_error(cli._read_counts, path) == _read_or_error(read_counts_per_line, path)
 
 

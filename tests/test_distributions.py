@@ -12,6 +12,7 @@ from citecopy import (
     log_bin_histogram,
     simulate_rcs,
 )
+from citecopy.distributions import _bin_count
 
 
 class TestCcdf:
@@ -97,6 +98,31 @@ class TestLogBinHistogram:
     def test_bins_validation(self):
         with pytest.raises(InvalidTallyError):
             log_bin_histogram(CountSample((1, 2), "x"), 0)
+
+    @pytest.mark.parametrize("bins_per_decade", [1, 2, 3, 5, 6, 7, 10, 12, 100])
+    def test_bin_count_matches_per_bin_loop(self, bins_per_decade):
+        def per_bin(max_count):
+            n = 1
+            while 10.0 ** (n / bins_per_decade) <= max_count:
+                n += 1
+            return n
+
+        # powers of ten and their neighbours, and the counts next to
+        # every tenth bin edge, where rounding decides the bin count
+        maxima = {10**k + d for k in range(19) for d in (-1, 0, 1)} | {2, 3, 123456789, 2**63 - 1}
+        edges = (int(10.0 ** (n / bins_per_decade)) for n in range(0, 19 * bins_per_decade, 10))
+        maxima |= {edge + d for edge in edges for d in (-1, 0, 1)}
+        for max_count in sorted(m for m in maxima if 1 <= m < 2**63):
+            assert _bin_count(max_count, bins_per_decade) == per_bin(max_count), max_count
+
+    @pytest.mark.parametrize("max_count, bins_per_decade", [
+        (123456789, 10**9), (1, 10**18), (123456789, 10**18), (2**63 - 1, 10**25), (2, 10**300),
+    ])
+    def test_bin_count_is_where_the_loop_test_turns(self, max_count, bins_per_decade):
+        # the per-bin loop would take minutes or longer for each of these
+        n = _bin_count(max_count, bins_per_decade)
+        assert 10.0 ** (n / bins_per_decade) > max_count
+        assert n == 1 or 10.0 ** ((n - 1) / bins_per_decade) <= max_count
 
 
 def step_curves():

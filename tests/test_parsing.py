@@ -230,6 +230,12 @@ class TestClassify:
         tally, _ = classify(make_table(records), KT_CANONICAL)
         assert tally.total == 0
 
+    def test_one_text_in_two_columns_is_normalized_per_column(self):
+        # a page keeps only the first page of a range; a volume stays whole
+        records = [("p1", "J.Phys.C", "12-14", "12-14", "1973")]
+        _, classes = classify(make_table(records), KT_CANONICAL)
+        assert [c.variant for c in classes] == [("j.phys.c", "12-14", "12", "1973")]
+
     def test_permutation_stability(self, data_dir):
         with open(data_dir / "kt60.csv") as fh:
             records = rows(parse_records(fh)[0])
