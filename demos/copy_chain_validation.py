@@ -7,6 +7,8 @@ true read fraction is an input here, we can check how well the estimator
 recovers it.
 """
 
+import numpy as np
+
 from citecopy import CopyChainConfig, estimator_roundtrip, simulate_copy_chain
 
 config = CopyChainConfig(
@@ -18,7 +20,7 @@ config = CopyChainConfig(
 
 one = simulate_copy_chain(config)
 print(f"one chain: D={one.tally.distinct}, T={one.tally.total}, N={one.tally.citations}")
-print(f"largest misprint class: {max(one.class_sizes)} copies")
+print(f"largest misprint class: {np.bincount(one.variants)[1:].max()} copies")
 print()
 
 summary = estimator_roundtrip(config, trials=200)

@@ -166,9 +166,8 @@ def cmd_oracle(args: argparse.Namespace) -> dict:
 
 
 def _dump_outcome(path: str, outcome) -> None:
-    variants = np.asarray(outcome.variants, dtype=np.int64)
     with open(path, "wb") as fh:
-        _write_rows(fh, np.arange(variants.size + 1), variants, b",")
+        _write_rows(fh, np.arange(outcome.variants.size + 1), outcome.variants, b",")
         fh.write(json.dumps(dict(zip("DTN", astuple(outcome.tally)))).encode() + b"\n")
 
 

@@ -22,6 +22,7 @@ O(log depth) vectorised rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -57,15 +58,22 @@ class CopyChainConfig:
             raise InvalidTallyError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CopyChainOutcome:
     """Result of one chain: variant id per citation (0 = correct, each
-    positive id is one distinct misprint class), the derived tally, and
-    the multiset of per-class multiplicities."""
+    positive id is one distinct misprint class) and the derived tally.
+    Equal when the variants are equal; unhashable, like the array."""
 
-    variants: tuple[int, ...]
+    variants: np.ndarray
     tally: MisprintTally
-    class_sizes: tuple[int, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CopyChainOutcome):
+            return NotImplemented
+        # the tally follows from the variants
+        return np.array_equal(self.variants, other.variants)
+
+    __hash__ = None
 
 
 def _resolve_variants(parent: np.ndarray, corrupt: np.ndarray) -> np.ndarray:
@@ -119,17 +127,9 @@ def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     appearance.
     """
     variants = _resolve_variants(*_draw_forest(config))
-    sizes = np.bincount(variants)[1:]
-    tally = MisprintTally(
-        distinct=sizes.size,
-        total=int(sizes.sum()),
-        citations=config.n_citations,
-    )
-    return CopyChainOutcome(
-        variants=tuple(variants.tolist()),
-        tally=tally,
-        class_sizes=tuple(sizes.tolist()),
-    )
+    # variant ids run 1..D, so the largest is D
+    tally = MisprintTally(int(variants.max()), int(np.count_nonzero(variants)), config.n_citations)
+    return CopyChainOutcome(variants, tally)
 
 
 @dataclass(frozen=True)
@@ -160,23 +160,21 @@ def trial_seeds(seed: int, trials: int) -> np.ndarray:
 def estimator_roundtrip(config: CopyChainConfig, trials: int) -> RoundtripSummary:
     """Run `trials` independent chains and apply both estimators to each
     outcome that produced at least one misprint."""
-    if trials < 1:
+    if not trials >= 1:
         raise InvalidTallyError("trials must be >= 1")
-    n = config.n_citations
-    distinct = np.empty(trials, dtype=np.int64)
-    total = np.empty(trials, dtype=np.int64)
-    for k, s in enumerate(trial_seeds(config.seed, trials)):
-        variants = _resolve_variants(*_draw_forest(replace(config, seed=int(s))))
-        # variant ids run 1..D, so the largest is D
-        distinct[k] = variants.max()
-        total[k] = np.count_nonzero(variants)
-    tallies = (MisprintTally(int(d), int(t), n) for d, t in zip(distinct, total) if t)
-    estimates = [corrected_read_fraction(t) for t in tallies]
+    if not isinstance(trials, Integral):
+        raise InvalidTallyError(f"trials must be an integer, got {trials!r}")
+    seeds = trial_seeds(config.seed, trials)
+    tallies = [simulate_copy_chain(replace(config, seed=int(s))).tally for s in seeds]
+    estimates = [corrected_read_fraction(t) for t in tallies if t.total]
     if not estimates:
         raise InsufficientStatisticsError("every trial produced zero misprints")
     naive = np.array([e.naive_r for e in estimates])
     corrected = np.array([e.corrected_r for e in estimates])
-    pooled = MisprintTally(int(distinct.sum()), int(total.sum()), n * trials)
+    # the pooled tally is the sum of the trial tallies
+    pooled = MisprintTally(
+        sum(t.distinct for t in tallies), sum(t.total for t in tallies), config.n_citations * trials
+    )
     pooled_estimate = corrected_read_fraction(pooled)
     return RoundtripSummary(
         trials=trials,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -14,19 +13,35 @@ import numpy as np
 from .errors import InvalidTallyError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountSample:
-    """Citations-per-paper counts with a label for output files; counts
-    may be any sequence of nonnegative integers, a numpy array included."""
+    """Citations-per-paper counts with a label for output files.  Counts
+    may be any 1-D sequence of nonnegative integers, a numpy array
+    included; they are kept as a numpy integer array.  Two samples are
+    equal when their labels and counts are; like their arrays, samples
+    are unhashable."""
 
-    counts: Sequence[int] | np.ndarray
+    counts: np.ndarray
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.counts) == 0:
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1:
+            raise InvalidTallyError("counts must be a 1-D sequence of integers")
+        if counts.size == 0:
             raise InvalidTallyError("empty sample")
-        if np.min(self.counts) < 0:
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise InvalidTallyError(f"counts must be integers, got dtype {counts.dtype}")
+        if not counts.min() >= 0:
             raise InvalidTallyError("counts must be nonnegative")
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CountSample):
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.counts, other.counts)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -43,7 +58,7 @@ class CcdfCurve:
 
 
 def ccdf(sample: CountSample) -> CcdfCurve:
-    counts = np.asarray(sample.counts)
+    counts = sample.counts
     values, occurrences = np.unique(counts, return_counts=True)
     # fraction >= x: cumulative occurrences from the top down
     above = np.cumsum(occurrences[::-1])[::-1] / counts.size
@@ -89,9 +104,9 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     covering [1, max count].  Density is count-in-bin divided by bin
     width and total sample size, so sum(density * width) equals the
     positive-count fraction."""
-    if bins_per_decade < 1:
+    if not bins_per_decade >= 1:
         raise InvalidTallyError("bins_per_decade must be >= 1")
-    counts = np.asarray(sample.counts)
+    counts = sample.counts
     positive = counts[counts > 0]
     if positive.size == 0:
         raise InvalidTallyError("sample has no positive counts")

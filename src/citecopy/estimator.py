@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import (
     EstimatorBreakdownError,
@@ -37,6 +38,11 @@ class MisprintTally:
             raise InvalidTallyError(
                 f"need 0 <= distinct <= total <= citations, got "
                 f"distinct={d}, total={t}, citations={n}"
+            )
+        if not all(isinstance(x, Integral) for x in (d, t, n)):
+            raise InvalidTallyError(
+                f"distinct, total and citations must be integers, got "
+                f"distinct={d!r}, total={t!r}, citations={n!r}"
             )
         if (d == 0) != (t == 0):
             raise InvalidTallyError(
@@ -88,7 +94,7 @@ def copy_factor(n_p: float, m: float) -> float:
     """
     if not 0.0 <= m < 1.0:
         raise InvalidTallyError(f"misprint probability must be in [0, 1), got {m}")
-    if n_p < 0.0:
+    if not n_p >= 0.0:
         raise InvalidTallyError(f"propagation factor must be >= 0, got {n_p}")
     denom = 1.0 - m - n_p * m
     if denom <= 0.0:

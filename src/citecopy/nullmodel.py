@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import CitecopyError, InvalidTallyError
 
@@ -29,6 +30,8 @@ class BinomialTailQuery:
     def __post_init__(self) -> None:
         if not 0 <= self.threshold <= self.trials:
             raise InvalidTallyError("need 0 <= threshold <= trials")
+        if not isinstance(self.trials, Integral) or not isinstance(self.threshold, Integral):
+            raise InvalidTallyError("trials and threshold must be integers")
         if not 0.0 <= self.success_prob <= 1.0:
             raise InvalidTallyError("success_prob must be in [0, 1]")
 
@@ -88,7 +91,7 @@ def streak_probability(win_prob: float, streak: int) -> float:
     """Probability of winning `streak` independent events in a row."""
     if not 0.0 <= win_prob <= 1.0:
         raise InvalidTallyError("win_prob must be in [0, 1]")
-    if streak < 0:
+    if not streak >= 0:
         raise InvalidTallyError("streak must be >= 0")
     return win_prob**streak
 
@@ -96,7 +99,7 @@ def streak_probability(win_prob: float, streak: int) -> float:
 def expected_count(population: int, per_item_prob_log10: float) -> float:
     """Expected number of hits in a population given a per-item log10
     probability: population * 10**per_item_prob_log10."""
-    if population < 0:
+    if not population >= 0:
         raise InvalidTallyError("population must be >= 0")
     try:
         prob = 10.0**per_item_prob_log10

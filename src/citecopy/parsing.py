@@ -189,7 +189,7 @@ def classify(table: CitationTable, canonical: CanonicalRef) -> tuple[MisprintTal
 
 def top_misprints(classes: list[MisprintClass], k: int) -> list[MisprintClass]:
     """The k largest classes, ties broken by first appearance order."""
-    if k < 0:
+    if not k >= 0:
         raise InvalidTallyError("k must be >= 0")
     # sorted is stable, so equal multiplicities keep their order
     return sorted(classes, key=lambda c: -c.multiplicity)[:k]

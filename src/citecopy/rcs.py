@@ -25,6 +25,7 @@ do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -211,8 +212,10 @@ def simulate_rcs(config: RcsConfig) -> CitationNetwork:
 
 def renowned_fraction(network: CitationNetwork, threshold: int) -> tuple[int, float]:
     """Count and fraction of papers with at least `threshold` citations."""
-    if threshold < 1:
+    if not threshold >= 1:
         raise InvalidTallyError("threshold must be >= 1")
+    if not isinstance(threshold, Integral):
+        raise InvalidTallyError(f"threshold must be an integer, got {threshold!r}")
     count = int((network.in_degree >= threshold).sum())
     return count, count / network.n_papers
 

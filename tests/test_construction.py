@@ -3,7 +3,8 @@
 Each test draws field values around the type's bounds, NaN and huge
 values included, and asserts that construction and `dataclasses.replace`
 raise InvalidTallyError exactly when the range rule written out in the
-test says a field is out of range.
+test says a field is out of range.  Count fields must also be integers,
+and function arguments with a bound reject NaN as fields do.
 """
 
 import dataclasses
@@ -22,6 +23,14 @@ from citecopy import (
     InvalidTallyError,
     MisprintTally,
     RcsConfig,
+    copy_factor,
+    estimator_roundtrip,
+    expected_count,
+    log_bin_histogram,
+    renowned_fraction,
+    simulate_rcs,
+    streak_probability,
+    top_misprints,
 )
 
 # integer fields: every value near the bounds, huge values and NaN
@@ -140,3 +149,71 @@ def test_canonical_ref(journal, volume, page, year):
         ("canonical reference fields must be nonempty",),
         journal=journal, volume=volume, page=page, year=year,
     )
+
+
+NET = simulate_rcs(RcsConfig(50, 2, 0.25, 1))
+CHAIN = CopyChainConfig(100, 0.5, 0.05, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: copy_factor(math.nan, 0.1), "propagation factor must be >= 0"),
+        (lambda: renowned_fraction(NET, math.nan), "threshold must be >= 1"),
+        (lambda: streak_probability(0.5, math.nan), "streak must be >= 0"),
+        (lambda: expected_count(math.nan, -3.0), "population must be >= 0"),
+        (lambda: log_bin_histogram(CountSample((1, 2)), math.nan), "bins_per_decade must be >= 1"),
+        (lambda: top_misprints([], math.nan), "k must be >= 0"),
+        (lambda: estimator_roundtrip(CHAIN, math.nan), "trials must be >= 1"),
+        (lambda: CountSample(np.array([math.nan, 1.0])), "counts must be integers"),
+    ],
+    ids=["copy_factor", "renowned_fraction", "streak_probability", "expected_count",
+         "log_bin_histogram", "top_misprints", "estimator_roundtrip", "CountSample"],
+)
+def test_nan_argument_is_rejected(call, message):
+    with pytest.raises(InvalidTallyError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CountSample([1.5, 2]), "counts must be integers"),
+        (lambda: CountSample([math.nan]), "counts must be integers"),
+        (lambda: CountSample("123"), "counts must be a 1-D sequence of integers"),
+        (lambda: CountSample([[1, 2], [3, 4]]), "counts must be a 1-D sequence of integers"),
+        (lambda: CountSample([True, False]), "counts must be integers"),
+        (lambda: MisprintTally(1.5, 2, 3), "distinct, total and citations must be integers"),
+        (lambda: MisprintTally(1, 2, 3.0), "distinct, total and citations must be integers"),
+        (lambda: BinomialTailQuery(10.5, 0.5, 3), "trials and threshold must be integers"),
+        (lambda: BinomialTailQuery(10, 0.5, 3.0), "trials and threshold must be integers"),
+        (lambda: estimator_roundtrip(CHAIN, 2.0), "trials must be an integer"),
+        (lambda: renowned_fraction(NET, 1.5), "threshold must be an integer"),
+    ],
+    ids=["CountSample-float", "CountSample-nan", "CountSample-str", "CountSample-2d", "CountSample-bool",
+         "MisprintTally-distinct", "MisprintTally-citations", "BinomialTailQuery-trials",
+         "BinomialTailQuery-threshold", "estimator_roundtrip-trials", "renowned_fraction-threshold"],
+)
+def test_non_integer_count_is_rejected(call, message):
+    with pytest.raises(InvalidTallyError, match=message):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    tally = MisprintTally(np.int64(45), np.int32(196), np.uint16(4300))
+    assert tally == MisprintTally(45, 196, 4300)
+    assert BinomialTailQuery(np.int64(10), 0.5, np.uint8(3)) == BinomialTailQuery(10, 0.5, 3)
+    assert estimator_roundtrip(CHAIN, np.int64(3)) == estimator_roundtrip(CHAIN, 3)
+    assert renowned_fraction(NET, np.int32(2)) == renowned_fraction(NET, 2)
+    sample = CountSample(np.array([3, 0, 5], dtype=np.uint8), "x")
+    assert np.issubdtype(sample.counts.dtype, np.integer)
+
+
+def test_count_sample_keeps_an_integer_array():
+    sample = CountSample((3, 0, 5), "x")
+    assert isinstance(sample.counts, np.ndarray) and sample.counts.tolist() == [3, 0, 5]
+    assert sample == CountSample(np.array([3, 0, 5]), "x")
+    assert sample != CountSample((3, 0, 5), "y")
+    assert sample != CountSample((3, 0, 6), "x")
+    with pytest.raises(TypeError):
+        hash(sample)

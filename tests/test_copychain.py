@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from citecopy import (
     CopyChainConfig,
     InsufficientStatisticsError,
     InvalidTallyError,
+    MisprintTally,
     corrected_read_fraction,
     estimator_roundtrip,
     simulate_copy_chain,
 )
+from citecopy import copychain
 from citecopy.copychain import _draw_forest, _resolve_variants, trial_seeds
 
 from chain_moments import Z, expected_tally, joint_probs, misprint_probs, pooled_moments
@@ -41,7 +44,7 @@ class TestSimulateCopyChain:
         # with read_prob=1 every misprint is freshly introduced
         out = simulate_copy_chain(CopyChainConfig(100, 1.0, 0.5, 2))
         assert out.tally.distinct == out.tally.total
-        assert all(size == 1 for size in out.class_sizes)
+        assert all(size == 1 for size in np.bincount(out.variants)[1:])
 
     def test_deterministic(self):
         cfg = CopyChainConfig(2000, 0.3, 0.02, 123)
@@ -50,15 +53,19 @@ class TestSimulateCopyChain:
     def test_different_seed_differs(self):
         a = simulate_copy_chain(CopyChainConfig(2000, 0.3, 0.02, 123))
         b = simulate_copy_chain(CopyChainConfig(2000, 0.3, 0.02, 124))
-        assert a.variants != b.variants
+        assert not np.array_equal(a.variants, b.variants)
+        assert a != b
+        with pytest.raises(TypeError):
+            hash(a)  # like its variants array, an outcome is unhashable
 
     def test_tally_conservation(self):
         for seed in range(10):
             out = simulate_copy_chain(CopyChainConfig(1000, 0.4, 0.03, seed))
             t = out.tally
             assert t.citations == len(out.variants) == 1000
-            assert t.distinct == len(out.class_sizes)
-            assert t.total == sum(out.class_sizes)
+            sizes = np.bincount(out.variants)[1:]
+            assert t.distinct == len(sizes)
+            assert t.total == sum(sizes)
             assert t.total == sum(1 for v in out.variants if v > 0)
 
     def test_parents_lie_below_their_child(self):
@@ -162,7 +169,7 @@ class TestEstimatorRoundtrip:
         for sd in trial_seeds(777, 200):
             out = simulate_copy_chain(CopyChainConfig(4300, 0.22, 0.0105, int(sd)))
             if out.tally.total:
-                ratios.append(max(out.class_sizes) / out.tally.total)
+                ratios.append(max(np.bincount(out.variants)[1:]) / out.tally.total)
         lo, hi = np.percentile(ratios, [5, 95])
         assert lo < 78 / 196 < hi
 
@@ -172,6 +179,28 @@ class TestEstimatorRoundtrip:
         s = estimator_roundtrip(cfg, 1)
         first = CopyChainConfig(4300, 0.22, 0.0105, int(trial_seeds(3, 1)[0]))
         assert simulate_copy_chain(first).tally == s.pooled
+
+    def test_every_trial_is_one_simulate_copy_chain(self, monkeypatch):
+        # the round trip has no chain path of its own: trial j is the chain
+        # of the j-th trial seed, and the summary is built from its tally
+        cfg, k = CopyChainConfig(60, 0.5, 0.01, 8), 40
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return simulate_copy_chain(config)
+
+        monkeypatch.setattr(copychain, "simulate_copy_chain", counted)
+        s = estimator_roundtrip(cfg, k)
+        monkeypatch.undo()
+        assert len(calls) == k
+        tallies = [simulate_copy_chain(replace(cfg, seed=int(sd))).tally for sd in trial_seeds(cfg.seed, k)]
+        assert s.pooled == MisprintTally(
+            sum(t.distinct for t in tallies), sum(t.total for t in tallies), sum(t.citations for t in tallies)
+        )
+        # at N M = 0.6 about half the chains have no misprint
+        assert s.degenerate == sum(t.total == 0 for t in tallies)
+        assert 0 < s.degenerate < k
 
     def test_trial_seeds_deterministic(self):
         assert list(trial_seeds(5, 10)) == list(trial_seeds(5, 10))
