@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .copychain import CopyChainConfig, estimator_roundtrip, simulate_copy_chain, trial_seeds
 from .distributions import CountSample, ccdf, ks_distance, log_bin_histogram
-from .errors import CitecopyError, InvalidTallyError
+from .errors import CitecopyError, InvalidTallyError, require_count
 from .estimator import MisprintTally, corrected_read_fraction
 from .nullmodel import BinomialTailQuery, binomial_log10_tail, expected_count
 from .parsing import CanonicalRef, classify, parse_records, top_misprints
@@ -119,11 +119,9 @@ def cmd_estimate(args: argparse.Namespace) -> dict:
 
 def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
     # every argument is checked before the first network is grown
-    if args.runs < 1:
-        raise InvalidTallyError("runs must be >= 1")
+    require_count("runs", args.runs, 1)
     config = RcsConfig(args.papers, args.m, args.p, args.seed)
-    if args.threshold < 1:
-        raise InvalidTallyError("threshold must be >= 1")
+    require_count("threshold", args.threshold, 1)
     runs = []
     for i, s in enumerate(trial_seeds(args.seed, args.runs)):
         net = simulate_rcs(replace(config, seed=int(s)))
@@ -131,7 +129,9 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
         stats = asdict(degree_stats(net))
         runs.append({"run": i, **stats, "renowned_count": count, "renowned_fraction": fraction})
         if i == 0 and args.dump:
-            _dump_network(args.dump, net, stats, args.threshold, count)
+            summary = {"n_papers": net.n_papers, **stats, "renowned_threshold": args.threshold,
+                       "renowned_count": count}
+            _dump(args.dump, net.indptr, net.indices, b": ", summary)
 
     def mean(key: str) -> float:
         return float(np.mean([r[key] for r in runs]))
@@ -147,28 +147,24 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
     }
 
 
-def _dump_network(path: str, net, stats: dict, threshold: int, renowned_count: int) -> None:
-    with open(path, "wb") as fh:
-        _write_rows(fh, net.indptr, net.indices, b": ")
-        summary = {"n_papers": net.n_papers, **stats, "renowned_threshold": threshold}
-        fh.write(json.dumps({**summary, "renowned_count": renowned_count}).encode() + b"\n")
-
-
 def cmd_oracle(args: argparse.Namespace) -> dict:
     config = CopyChainConfig(args.citations, args.read_prob, args.misprint_prob, args.seed)
     summary = estimator_roundtrip(config, args.trials)
     if args.dump:
         # trial 0 of the round trip, run again for its variants
-        first = replace(config, seed=int(trial_seeds(args.seed, 1)[0]))
-        _dump_outcome(args.dump, simulate_copy_chain(first))
+        first = simulate_copy_chain(replace(config, seed=int(trial_seeds(args.seed, 1)[0])))
+        rows = np.arange(first.variants.size + 1)
+        _dump(args.dump, rows, first.variants, b",", dict(zip("DTN", astuple(first.tally))))
     # every field but the pooled tally, in field order
     return {k: v for k, v in asdict(summary).items() if k != "pooled"}
 
 
-def _dump_outcome(path: str, outcome) -> None:
+def _dump(path: str, indptr: np.ndarray, values: np.ndarray, sep: bytes, summary: dict) -> None:
+    """Write the CSR rows (`indptr`, `values`) to the file at `path` as
+    `_write_rows` renders them, then `summary` as one line of JSON."""
     with open(path, "wb") as fh:
-        _write_rows(fh, np.arange(outcome.variants.size + 1), outcome.variants, b",")
-        fh.write(json.dumps(dict(zip("DTN", astuple(outcome.tally)))).encode() + b"\n")
+        _write_rows(fh, indptr, values, sep)
+        fh.write(json.dumps(summary).encode() + b"\n")
 
 
 def _write_rows(fh, indptr: np.ndarray, values: np.ndarray, sep: bytes) -> None:

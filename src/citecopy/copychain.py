@@ -22,11 +22,10 @@ O(log depth) vectorised rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InsufficientStatisticsError, InvalidTallyError
+from .errors import ArrayRecord, InsufficientStatisticsError, InvalidTallyError, require_count
 from .estimator import MisprintTally, corrected_read_fraction
 
 
@@ -37,7 +36,8 @@ class CopyChainConfig:
     n_citations : number of citers
     read_prob   : probability a citer reads the original (true R)
     misprint_prob: per-transcription corruption probability (M)
-    seed        : RNG seed (>= 0); identical configs give bit-identical outcomes
+    seed        : RNG seed, an integer >= 0; identical configs give
+                  bit-identical outcomes
     """
 
     n_citations: int
@@ -46,34 +46,22 @@ class CopyChainConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        # each check is a negated comparison such as `not x >= 1`, so that
-        # NaN, which fails every comparison, fails every check
-        if not self.n_citations >= 1:
-            raise InvalidTallyError("n_citations must be >= 1")
+        # NaN fails every comparison, and so every check
+        require_count("n_citations", self.n_citations, 1)
         if not 0.0 <= self.read_prob <= 1.0:
             raise InvalidTallyError("read_prob must be in [0, 1]")
         if not 0.0 <= self.misprint_prob < 1.0:
             raise InvalidTallyError("misprint_prob must be in [0, 1)")
-        if not self.seed >= 0:
-            raise InvalidTallyError("seed must be >= 0")
+        require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
-class CopyChainOutcome:
+class CopyChainOutcome(ArrayRecord):
     """Result of one chain: variant id per citation (0 = correct, each
-    positive id is one distinct misprint class) and the derived tally.
-    Equal when the variants are equal; unhashable, like the array."""
+    positive id is one distinct misprint class) and the derived tally."""
 
     variants: np.ndarray
     tally: MisprintTally
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CopyChainOutcome):
-            return NotImplemented
-        # the tally follows from the variants
-        return np.array_equal(self.variants, other.variants)
-
-    __hash__ = None
 
 
 def _resolve_variants(parent: np.ndarray, corrupt: np.ndarray) -> np.ndarray:
@@ -160,10 +148,7 @@ def trial_seeds(seed: int, trials: int) -> np.ndarray:
 def estimator_roundtrip(config: CopyChainConfig, trials: int) -> RoundtripSummary:
     """Run `trials` independent chains and apply both estimators to each
     outcome that produced at least one misprint."""
-    if not trials >= 1:
-        raise InvalidTallyError("trials must be >= 1")
-    if not isinstance(trials, Integral):
-        raise InvalidTallyError(f"trials must be an integer, got {trials!r}")
+    require_count("trials", trials, 1)
     seeds = trial_seeds(config.seed, trials)
     tallies = [simulate_copy_chain(replace(config, seed=int(s))).tally for s in seeds]
     estimates = [corrected_read_fraction(t) for t in tallies if t.total]

@@ -10,16 +10,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import InvalidTallyError
+from .errors import ArrayRecord, InvalidTallyError, require_count
 
 
 @dataclass(frozen=True, eq=False)
-class CountSample:
+class CountSample(ArrayRecord):
     """Citations-per-paper counts with a label for output files.  Counts
     may be any 1-D sequence of nonnegative integers, a numpy array
-    included; they are kept as a numpy integer array.  Two samples are
-    equal when their labels and counts are; like their arrays, samples
-    are unhashable."""
+    included; they are kept as a numpy integer array."""
 
     counts: np.ndarray
     label: str = ""
@@ -35,13 +33,6 @@ class CountSample:
         if not counts.min() >= 0:
             raise InvalidTallyError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountSample):
-            return NotImplemented
-        return self.label == other.label and np.array_equal(self.counts, other.counts)
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -104,8 +95,7 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     covering [1, max count].  Density is count-in-bin divided by bin
     width and total sample size, so sum(density * width) equals the
     positive-count fraction."""
-    if not bins_per_decade >= 1:
-        raise InvalidTallyError("bins_per_decade must be >= 1")
+    require_count("bins_per_decade", bins_per_decade, 1)
     counts = sample.counts
     positive = counts[counts > 0]
     if positive.size == 0:

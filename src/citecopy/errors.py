@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two rules that
+the modules share: `require_count`, which checks every count argument,
+and `ArrayRecord`, the equality of every record that holds numpy arrays."""
+
+from __future__ import annotations
+
+from dataclasses import fields
+from numbers import Integral
+
+import numpy as np
 
 
 class CitecopyError(Exception):
@@ -17,3 +26,33 @@ class InsufficientStatisticsError(CitecopyError):
 
 class EstimatorBreakdownError(CitecopyError):
     """Misprint rate too high for the observed propagation factor."""
+
+
+def require_count(name: str, value, low, low_text: str | None = None) -> None:
+    """Raise InvalidTallyError unless `value` is an integer >= `low`
+    (numpy integers included).  The bound is checked first, as
+    `not value >= low`, so that NaN, which fails every comparison, fails
+    it; its message names the bound as `low_text`, if given."""
+    if not value >= low:
+        raise InvalidTallyError(f"{name} must be >= {low_text or low}")
+    if not isinstance(value, Integral):
+        raise InvalidTallyError(f"{name} must be an integer, got {value!r}")
+
+
+class ArrayRecord:
+    """Base of the frozen dataclasses that hold numpy arrays.  Two records
+    are equal when they are of the same type and every field is equal,
+    arrays by `np.array_equal`; like their arrays, records are unhashable.
+    Subclasses are declared `@dataclass(frozen=True, eq=False)`: with
+    `eq=True` the dataclass would generate an `__eq__` of its own."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+    __hash__ = None

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import CitecopyError, InvalidTallyError
+from .errors import CitecopyError, InvalidTallyError, require_count
 
 LN10 = math.log(10.0)
 # stop summing once a term is this many orders of magnitude below the sum
@@ -91,16 +91,14 @@ def streak_probability(win_prob: float, streak: int) -> float:
     """Probability of winning `streak` independent events in a row."""
     if not 0.0 <= win_prob <= 1.0:
         raise InvalidTallyError("win_prob must be in [0, 1]")
-    if not streak >= 0:
-        raise InvalidTallyError("streak must be >= 0")
+    require_count("streak", streak, 0)
     return win_prob**streak
 
 
 def expected_count(population: int, per_item_prob_log10: float) -> float:
     """Expected number of hits in a population given a per-item log10
     probability: population * 10**per_item_prob_log10."""
-    if not population >= 0:
-        raise InvalidTallyError("population must be >= 0")
+    require_count("population", population, 0)
     try:
         prob = 10.0**per_item_prob_log10
     except OverflowError as exc:

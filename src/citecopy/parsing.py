@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidTallyError
+from .errors import ArrayRecord, InvalidTallyError, require_count
 from .estimator import MisprintTally
 
 _WS = re.compile(r"\s+")
@@ -63,14 +63,12 @@ class CanonicalRef:
         return normalize_tuple(self.journal, self.volume, self.page, self.year)
 
 
-@dataclass(frozen=True)
-class CitationTable:
+@dataclass(frozen=True, eq=False)
+class CitationTable(ArrayRecord):
     """Kept citation records as a table of their distinct renderings:
     record i, cited by `source_ids[i]`, renders the reference as
     `renderings[rendering[i]]`, its stripped (journal, volume, page, year).
-    `renderings` has no duplicates and is in order of first appearance.
-    Two tables are equal when their fields are; like their arrays, tables
-    are unhashable."""
+    `renderings` has no duplicates and is in order of first appearance."""
 
     source_ids: list[str]
     rendering: np.ndarray
@@ -78,17 +76,6 @@ class CitationTable:
 
     def __len__(self) -> int:
         return len(self.source_ids)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CitationTable):
-            return NotImplemented
-        return (
-            self.source_ids == other.source_ids
-            and self.renderings == other.renderings
-            and np.array_equal(self.rendering, other.rendering)
-        )
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,6 @@ def classify(table: CitationTable, canonical: CanonicalRef) -> tuple[MisprintTal
 
 def top_misprints(classes: list[MisprintClass], k: int) -> list[MisprintClass]:
     """The k largest classes, ties broken by first appearance order."""
-    if not k >= 0:
-        raise InvalidTallyError("k must be >= 0")
+    require_count("k", k, 0)
     # sorted is stable, so equal multiplicities keep their order
     return sorted(classes, key=lambda c: -c.multiplicity)[:k]

@@ -25,11 +25,10 @@ do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidTallyError
+from .errors import ArrayRecord, InvalidTallyError, require_count
 
 # rows moved from the growth pool into CSR order at a time
 GATHER_ROWS = 4096
@@ -42,7 +41,8 @@ class RcsConfig:
     n_papers : total papers grown
     m        : random earlier papers picked per new paper
     p        : per-reference copy probability
-    seed     : RNG seed (>= 0); identical configs give bit-identical networks
+    seed     : RNG seed, an integer >= 0; identical configs give
+               bit-identical networks
     """
 
     n_papers: int
@@ -51,39 +51,24 @@ class RcsConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        # each check is a negated comparison such as `not x >= 1`, so that
-        # NaN, which fails every comparison, fails every check
-        if not self.m >= 1:
-            raise InvalidTallyError("m must be >= 1")
-        if not self.n_papers >= self.m + 1:
-            raise InvalidTallyError("n_papers must be >= m + 1")
+        # NaN fails every comparison, and so every check
+        require_count("m", self.m, 1)
+        require_count("n_papers", self.n_papers, self.m + 1, "m + 1")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidTallyError("p must be in [0, 1]")
-        if not self.seed >= 0:
-            raise InvalidTallyError("seed must be >= 0")
+        require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
-class CitationNetwork:
+class CitationNetwork(ArrayRecord):
     """Directed acyclic citation graph, papers indexed 0..n-1 in arrival
     order, in CSR form: paper t cites indices[indptr[t]:indptr[t + 1]]
     (all < t, no duplicates, in first-occurrence order); in_degree[i]
-    counts the rows containing i.  Two networks are equal when they have
-    the same edges; like their arrays, networks are unhashable."""
+    counts the rows containing i."""
 
     indptr: np.ndarray
     indices: np.ndarray
     in_degree: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CitationNetwork):
-            return NotImplemented
-        # in_degree follows from the edges
-        return np.array_equal(self.indptr, other.indptr) and np.array_equal(
-            self.indices, other.indices
-        )
-
-    __hash__ = None
 
     @property
     def n_papers(self) -> int:
@@ -212,10 +197,7 @@ def simulate_rcs(config: RcsConfig) -> CitationNetwork:
 
 def renowned_fraction(network: CitationNetwork, threshold: int) -> tuple[int, float]:
     """Count and fraction of papers with at least `threshold` citations."""
-    if not threshold >= 1:
-        raise InvalidTallyError("threshold must be >= 1")
-    if not isinstance(threshold, Integral):
-        raise InvalidTallyError(f"threshold must be an integer, got {threshold!r}")
+    require_count("threshold", threshold, 1)
     count = int((network.in_degree >= threshold).sum())
     return count, count / network.n_papers
 

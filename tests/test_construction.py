@@ -4,9 +4,11 @@ Each test draws field values around the type's bounds, NaN and huge
 values included, and asserts that construction and `dataclasses.replace`
 raise InvalidTallyError exactly when the range rule written out in the
 test says a field is out of range.  Count fields must also be integers,
-and function arguments with a bound reject NaN as fields do.
+and function arguments with a bound reject NaN as fields do.  The
+records that hold numpy arrays share one equality over all their fields.
 """
 
+import copy
 import dataclasses
 import math
 import re
@@ -15,23 +17,28 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import citecopy
 from citecopy import (
     BinomialTailQuery,
     CanonicalRef,
     CopyChainConfig,
     CountSample,
     InvalidTallyError,
+    MisprintClass,
     MisprintTally,
     RcsConfig,
     copy_factor,
     estimator_roundtrip,
     expected_count,
     log_bin_histogram,
+    parse_records,
     renowned_fraction,
+    simulate_copy_chain,
     simulate_rcs,
     streak_probability,
     top_misprints,
 )
+from citecopy.errors import ArrayRecord
 
 # integer fields: every value near the bounds, huge values and NaN
 INTS = st.one_of(st.integers(-3, 12), st.sampled_from([10**30, -(10**30), math.nan]))
@@ -189,10 +196,21 @@ def test_nan_argument_is_rejected(call, message):
         (lambda: BinomialTailQuery(10, 0.5, 3.0), "trials and threshold must be integers"),
         (lambda: estimator_roundtrip(CHAIN, 2.0), "trials must be an integer"),
         (lambda: renowned_fraction(NET, 1.5), "threshold must be an integer"),
+        (lambda: CopyChainConfig(10.5, 0.5, 0.1, 1), "n_citations must be an integer"),
+        (lambda: CopyChainConfig(10, 0.5, 0.1, 1.5), "seed must be an integer"),
+        (lambda: RcsConfig(100.5, 3, 0.25, 1), "n_papers must be an integer"),
+        (lambda: RcsConfig(100, 2.5, 0.25, 1), "m must be an integer"),
+        (lambda: top_misprints([], 1.5), "k must be an integer"),
+        (lambda: streak_probability(0.5, 2.5), "streak must be an integer"),
+        (lambda: expected_count(10.5, 0.0), "population must be an integer"),
+        (lambda: log_bin_histogram(CountSample((1, 2)), 2.5), "bins_per_decade must be an integer"),
     ],
     ids=["CountSample-float", "CountSample-nan", "CountSample-str", "CountSample-2d", "CountSample-bool",
          "MisprintTally-distinct", "MisprintTally-citations", "BinomialTailQuery-trials",
-         "BinomialTailQuery-threshold", "estimator_roundtrip-trials", "renowned_fraction-threshold"],
+         "BinomialTailQuery-threshold", "estimator_roundtrip-trials", "renowned_fraction-threshold",
+         "CopyChainConfig-n_citations", "CopyChainConfig-seed", "RcsConfig-n_papers", "RcsConfig-m",
+         "top_misprints-k", "streak_probability-streak", "expected_count-population",
+         "log_bin_histogram-bins_per_decade"],
 )
 def test_non_integer_count_is_rejected(call, message):
     with pytest.raises(InvalidTallyError, match=message):
@@ -205,6 +223,11 @@ def test_numpy_integers_are_integers():
     assert BinomialTailQuery(np.int64(10), 0.5, np.uint8(3)) == BinomialTailQuery(10, 0.5, 3)
     assert estimator_roundtrip(CHAIN, np.int64(3)) == estimator_roundtrip(CHAIN, 3)
     assert renowned_fraction(NET, np.int32(2)) == renowned_fraction(NET, 2)
+    chain = CopyChainConfig(np.int64(100), 0.5, 0.05, np.uint32(1))
+    assert chain == CHAIN and simulate_copy_chain(chain) == simulate_copy_chain(CHAIN)
+    assert simulate_rcs(RcsConfig(np.int32(50), np.int64(2), 0.25, np.uint8(1))) == NET
+    classes = [MisprintClass(("a",) * 4, 1, ("x",)), MisprintClass(("b",) * 4, 2, ("y", "z"))]
+    assert top_misprints(classes, np.int64(1)) == top_misprints(classes, 1) == classes[1:]
     sample = CountSample(np.array([3, 0, 5], dtype=np.uint8), "x")
     assert np.issubdtype(sample.counts.dtype, np.integer)
 
@@ -217,3 +240,66 @@ def test_count_sample_keeps_an_integer_array():
     assert sample != CountSample((3, 0, 6), "x")
     with pytest.raises(TypeError):
         hash(sample)
+
+
+# one valid instance of every input type
+INPUTS = [
+    MisprintTally(45, 196, 4300),
+    CopyChainConfig(4300, 0.22, 0.0105, 1),
+    RcsConfig(100, 3, 0.25, 1),
+    BinomialTailQuery(350_000, 1 / 24_000, 500),
+    CountSample((1, 2, 3), "x"),
+    CanonicalRef("J.Phys.C", "6", "1181", "1973"),
+]
+
+
+def test_inputs_are_every_checked_type():
+    checked = {
+        obj for obj in vars(citecopy).values()
+        if dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__")
+    }
+    assert checked == {type(base) for base in INPUTS}
+
+
+@pytest.mark.parametrize(
+    "base, name",
+    [(base, f.name) for base in INPUTS for f in dataclasses.fields(base) if f.type in ("int", int)],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_every_int_field_must_be_an_integer(base, name):
+    with pytest.raises(InvalidTallyError, match="integer"):
+        dataclasses.replace(base, **{name: getattr(base, name) + 0.5})
+
+
+# one record of each type that holds numpy arrays
+RECORDS = [
+    simulate_copy_chain(CHAIN),
+    NET,
+    parse_records(["a,J,1,2,3", "b, J ,1,2,4", "c,J,1,2,3"])[0],
+    CountSample((3, 0, 5), "x"),
+]
+
+
+def changed(value):
+    """A value unequal to `value`, of the same kind."""
+    if isinstance(value, np.ndarray):
+        return value + 1
+    if isinstance(value, MisprintTally):
+        return dataclasses.replace(value, citations=value.citations + 1)
+    return value + value[:1]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_array_record_equality(record):
+    cls = type(record)
+    assert cls.__eq__ is ArrayRecord.__eq__
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    assert record == cls(**{name: copy.deepcopy(value) for name, value in fields.items()})
+    for name, value in fields.items():
+        other = dataclasses.replace(record, **{name: changed(value)})
+        assert record != other and not record == other, name
+    for other in RECORDS:
+        assert (record == other) == (other is record)
+    assert record != object()
+    with pytest.raises(TypeError):
+        hash(record)
