@@ -23,11 +23,13 @@ The one exception is `-h`/`--help`: human-readable usage, exit 0.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, astuple, replace
 
 import numpy as np
@@ -117,21 +119,63 @@ def cmd_estimate(args: argparse.Namespace) -> dict:
     return _estimate_dict(MisprintTally(args.distinct, args.total, args.citations))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
 def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
     # every argument is checked before the first network is grown
     require_count("runs", args.runs, 1)
     config = RcsConfig(args.papers, args.m, args.p, args.seed)
     require_count("threshold", args.threshold, 1)
-    runs = []
-    for i, s in enumerate(trial_seeds(args.seed, args.runs)):
-        net = simulate_rcs(replace(config, seed=int(s)))
+    seeds = trial_seeds(args.seed, args.runs)
+
+    def run(i: int) -> dict:
+        """Row of run i; its network is freed on return."""
+        net = simulate_rcs(replace(config, seed=int(seeds[i])))
         count, fraction = renowned_fraction(net, args.threshold)
         stats = asdict(degree_stats(net))
-        runs.append({"run": i, **stats, "renowned_count": count, "renowned_fraction": fraction})
         if i == 0 and args.dump:
             summary = {"n_papers": net.n_papers, **stats, "renowned_threshold": args.threshold,
                        "renowned_count": count}
             _dump(args.dump, net.indptr, net.indices, b": ", summary)
+        return {"run": i, **stats, "renowned_count": count, "renowned_fraction": fraction}
+
+    # Much of growth is numpy work that releases the GIL, so the calling
+    # thread and at most one helper take runs from one iterator, a whole run
+    # at a time: at most two networks are alive, whatever the CPU count.
+    # next() on a range iterator is one step under the GIL, so no run is
+    # taken twice.  Every network depends on its seed alone, so the output
+    # is that of running them in order.
+    runs: list = [None] * args.runs
+    failed: dict[int, BaseException] = {}
+    todo = iter(range(args.runs))
+
+    def work() -> None:
+        for i in todo:
+            try:
+                runs[i] = run(i)
+            except BaseException as exc:  # re-raised on the calling thread
+                failed[i] = exc
+                collections.deque(todo, maxlen=0)  # start no further run
+
+    helper = None
+    if args.runs >= 2 and _cpus() > 1:
+        helper = threading.Thread(target=work, name="simulate-rcs")
+        helper.start()
+    try:
+        work()
+    finally:
+        if helper is not None:
+            collections.deque(todo, maxlen=0)
+            helper.join()
+    if failed:
+        # runs start in index order, so this is the error of a serial loop
+        raise failed[min(failed)]
 
     def mean(key: str) -> float:
         return float(np.mean([r[key] for r in runs]))

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ArrayRecord, InvalidTallyError, require_count
 
 # rows moved from the growth pool into CSR order at a time
-GATHER_ROWS = 4096
+GATHER_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,10 @@ def _draw_picks(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     picks = (rng.random((n - m, m)) * t).astype(np.intp)
     # a row of independent uniform picks that happens to be distinct is a
     # uniform distinct tuple; the rare rows with a repeat are redrawn
-    ordered = np.sort(picks, axis=1)
-    for i in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+    repeated = np.zeros(n - m, dtype=bool)
+    for j in range(1, m):
+        repeated |= (picks[:, :j] == picks[:, j:j + 1]).any(axis=1)
+    for i in np.flatnonzero(repeated):
         picks[i] = rng.choice(m + i, m, replace=False)
     return picks
 
@@ -104,13 +106,14 @@ def _depths(picks: np.ndarray, m: int) -> np.ndarray:
     depth among its picks (row t - m of `picks`)."""
     n = picks.shape[0] + m
     depth = np.zeros(n, dtype=np.int32)
-    # papers in [lo, 2 lo) pick only below 2 lo, so each doubling block is
-    # iterated to its own fixed point; depths rise from 0 and the number
-    # of passes is the longest chain of picks inside the block.  After
-    # the first pass only the rows that pick inside the block can change.
+    # papers in [lo, hi) pick only below hi, so each block, a quarter as
+    # long as what precedes it, is iterated to its own fixed point; depths
+    # rise from 0 and the number of passes is the longest chain of picks
+    # inside the block.  After the first pass only the rows that pick
+    # inside the block can change.
     lo = m
     while lo < n:
-        hi = min(2 * lo, n)
+        hi = min(lo + max(lo // 4, 1), n)
         block = picks[lo - m:hi - m]
         depth[lo:hi] = depth[block].max(axis=1) + 1
         rows = np.flatnonzero((block >= lo).any(axis=1))

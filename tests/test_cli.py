@@ -7,14 +7,19 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import astuple
+import threading
+import time
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import citecopy
-from citecopy import MisprintTally, RcsConfig, cli, corrected_read_fraction, simulate_rcs
+from citecopy import (
+    InvalidTallyError, MisprintTally, RcsConfig, cli, corrected_read_fraction, degree_stats,
+    renowned_fraction, simulate_rcs,
+)
 from citecopy.cli import main
 from citecopy.copychain import CopyChainConfig, simulate_copy_chain, trial_seeds
 
@@ -156,6 +161,90 @@ class TestSimulateRcs:
             )
             lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
             assert "".join(lines[:-1]) == rows  # the last line is the summary
+
+    RUNS_ARGV = ["simulate-rcs", "--papers", "400", "--m", "2", "--p", "0.3", "--seed", "23"]
+
+    def test_runs_equal_serial_reference(self, capsys):
+        config = RcsConfig(400, 2, 0.3, 23)
+        reference = []
+        for i, s in enumerate(trial_seeds(23, 5)):
+            net = simulate_rcs(replace(config, seed=int(s)))
+            count, fraction = renowned_fraction(net, 5)
+            reference.append({"run": i, **asdict(degree_stats(net)), "renowned_count": count,
+                              "renowned_fraction": fraction})
+        # frequent thread switches, so that the two threads interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, payload = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "5", "--threshold", "5")
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert payload["runs"] == reference
+        assert payload["ensemble"]["mean_renowned_count"] == np.mean(
+            [r["renowned_count"] for r in reference])
+
+    def record_growth_threads(self, monkeypatch, wait_for=1):
+        """Threads that grow a network, in the order of their first growth.
+        Each waits at its first growth until `wait_for` threads are there."""
+        threads, barrier = [], threading.Barrier(wait_for, timeout=10)
+
+        def grow(config):
+            if threading.get_ident() not in threads:
+                threads.append(threading.get_ident())
+                barrier.wait()
+            return simulate_rcs(config)
+
+        monkeypatch.setattr(cli, "simulate_rcs", grow)
+        return threads
+
+    @pytest.mark.parametrize("runs, cpus", [("1", None), ("1", 64), ("4", 1)])
+    def test_grows_on_the_calling_thread_alone(self, capsys, monkeypatch, runs, cpus):
+        threads = self.record_growth_threads(monkeypatch)
+        if cpus is not None:
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", runs)
+        assert code == 0
+        assert threads == [threading.get_ident()]
+
+    def test_at_most_two_runs_are_in_flight(self, capsys, monkeypatch):
+        threads = self.record_growth_threads(monkeypatch)
+        monkeypatch.setattr(cli, "_cpus", lambda: 64)
+        code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "8")
+        assert code == 0
+        assert threading.get_ident() in threads and len(threads) <= 2
+
+    def test_two_runs_grow_at_once_given_two_cpus(self, capsys, monkeypatch):
+        # each thread waits at its first growth for the other one
+        threads = self.record_growth_threads(monkeypatch, wait_for=2)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "4")
+        assert code == 0
+        assert len(threads) == 2 and threading.get_ident() in threads
+
+    def test_failing_run_reports_the_lowest_failing_index(self, capsys, monkeypatch):
+        seeds = [int(s) for s in trial_seeds(23, 6)]
+        started = []
+
+        def grow(config):
+            run = seeds.index(config.seed)
+            started.append(run)
+            if run == 2:
+                time.sleep(0.2)  # run 3, if it runs beside it, fails first
+                raise MemoryError("run 2")
+            if run == 3:
+                raise InvalidTallyError("run 3")
+            return simulate_rcs(config)
+
+        monkeypatch.setattr(cli, "simulate_rcs", grow)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        before = threading.active_count()
+        code, payload = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "6")
+        assert code == 1
+        assert payload["error"] == {"type": "MemoryError", "message": "run 2"}
+        # no run starts after a failure, and the helper has been joined
+        assert max(started) <= 3
+        assert threading.active_count() == before
 
 
 class TestOracle:
