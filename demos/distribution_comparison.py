@@ -21,7 +21,7 @@ nets = [
     for seed in (1, 2)
 ]
 samples = [
-    CountSample(tuple(int(d) for d in net.in_degree), label=f"run{seed}")
+    CountSample(net.in_degree, label=f"run{seed}")
     for seed, net in zip((1, 2), nets)
 ]
 

@@ -377,11 +377,11 @@ def cmd_dist(args: argparse.Namespace) -> dict:
         sample = CountSample(values, label)
         curves.append(ccdf(sample))
         entry = {"label": label, "ccdf_csv": f"{args.out_prefix}_{label}_ccdf.csv"}
-        csvs.append((entry["ccdf_csv"], curves[-1].points))
+        csvs.append((entry["ccdf_csv"], curves[-1].points.tolist()))
         if (values > 0).any():
             hist = log_bin_histogram(sample, args.bins_per_decade)
             entry.update(hist_csv=f"{args.out_prefix}_{label}_hist.csv", zero_mass=hist.zero_mass)
-            csvs.append((entry["hist_csv"], hist.points))
+            csvs.append((entry["hist_csv"], hist.points.tolist()))
         outputs.append(entry)
     if len(set(labels)) < len(labels):
         raise InvalidTallyError(f"both counts files have the label {labels[0]!r}; their outputs would collide")

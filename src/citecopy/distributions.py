@@ -4,9 +4,7 @@ and a Kolmogorov-Smirnov style distance between step curves."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -35,17 +33,40 @@ class CountSample(ArrayRecord):
         object.__setattr__(self, "counts", counts)
 
 
-@dataclass(frozen=True)
-class CcdfCurve:
-    """Complementary CDF: (threshold x, fraction of items >= x), one
-    point per distinct value, thresholds strictly increasing."""
+@dataclass(frozen=True, eq=False)
+class CcdfCurve(ArrayRecord):
+    """Complementary CDF: the fraction of items >= x, one point per
+    distinct value.  `points` is a structured array with fields `x`
+    (int64, strictly increasing) and `fraction` (float64, in [0, 1]);
+    it iterates as (x, fraction) pairs.  Any structured array with those
+    fields, or any sequence of (x, fraction) pairs, is accepted."""
 
-    points: tuple[tuple[int, float], ...]
+    points: np.ndarray
 
-    def at(self, threshold: float) -> float:
-        """Fraction of items >= threshold, as a step function."""
-        i = bisect_left(self.points, threshold, key=itemgetter(0))
-        return float(self.points[i][1]) if i < len(self.points) else 0.0
+    def __post_init__(self) -> None:
+        points = self.points
+        if isinstance(points, np.ndarray) and points.dtype.names:
+            x, fraction = points["x"], points["fraction"]
+        else:
+            x, fraction = np.array([x for x, _ in points]), np.array([f for _, f in points])
+        if x.ndim != 1 or x.size == 0:
+            raise InvalidTallyError("a CCDF needs a 1-D sequence of at least one point")
+        # pairs with an x beyond int64 give a uint64, float or object array
+        if x.dtype.kind not in "iu" or x.max() > np.iinfo(np.int64).max:
+            raise InvalidTallyError("every x must be an integer within the int64 range")
+        if not (x[1:] > x[:-1]).all():
+            raise InvalidTallyError("x must be strictly increasing")
+        if fraction.dtype.kind not in "iuf" or not ((fraction >= 0) & (fraction <= 1)).all():
+            raise InvalidTallyError("every fraction must be in [0, 1]")
+        points = np.empty(x.size, [("x", np.int64), ("fraction", np.float64)])
+        points["x"], points["fraction"] = x, fraction
+        object.__setattr__(self, "points", points)
+
+    def at(self, thresholds):
+        """Fraction of items >= each threshold, as a step function: one
+        float for a scalar threshold, an array for an array."""
+        fractions = np.append(self.points["fraction"], 0.0)
+        return fractions[np.searchsorted(self.points["x"], thresholds, side="left")]
 
 
 def ccdf(sample: CountSample) -> CcdfCurve:
@@ -53,16 +74,18 @@ def ccdf(sample: CountSample) -> CcdfCurve:
     values, occurrences = np.unique(counts, return_counts=True)
     # fraction >= x: cumulative occurrences from the top down
     above = np.cumsum(occurrences[::-1])[::-1] / counts.size
-    return CcdfCurve(points=tuple((int(v), float(f)) for v, f in zip(values, above)))
+    return CcdfCurve(np.rec.fromarrays((values, above), names="x,fraction"))
 
 
-@dataclass(frozen=True)
-class LogBinnedHistogram:
+@dataclass(frozen=True, eq=False)
+class LogBinnedHistogram(ArrayRecord):
     """Geometric-bin density over positive counts; the zero-count mass is
-    reported separately."""
+    reported separately.  `points` is a structured array with float64
+    fields `center` (the bin's geometric center) and `density`; it
+    iterates as (center, density) pairs."""
 
-    points: tuple[tuple[float, float], ...]  # (bin geometric center, density)
-    edges: tuple[float, ...]
+    points: np.ndarray
+    edges: np.ndarray  # float64, one more than the points
     zero_mass: float  # fraction of the sample with count 0
 
 
@@ -105,27 +128,14 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     n_bins = _bin_count(max_count, bins_per_decade)
     edges = 10.0 ** (np.arange(n_bins + 1) / bins_per_decade)
     hist, _ = np.histogram(positive, bins=edges)
-    widths = np.diff(edges)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    density = hist / (widths * n_total)
-    return LogBinnedHistogram(
-        points=tuple(
-            (float(c), float(d)) for c, d in zip(centers, density)
-        ),
-        edges=tuple(float(e) for e in edges),
-        zero_mass=float((counts == 0).sum() / n_total),
-    )
-
-
-def _steps_at(curve: CcdfCurve, thresholds: np.ndarray) -> np.ndarray:
-    """`curve.at` for every threshold, with one vectorised binary search."""
-    xs = np.array([x for x, _ in curve.points])
-    fractions = np.array([f for _, f in curve.points] + [0.0])
-    return fractions[np.searchsorted(xs, thresholds, side="left")]
+    points = np.empty(n_bins, [("center", np.float64), ("density", np.float64)])
+    points["center"] = np.sqrt(edges[:-1] * edges[1:])
+    points["density"] = hist / (np.diff(edges) * n_total)
+    return LogBinnedHistogram(points, edges, float((counts == 0).sum() / n_total))
 
 
 def ks_distance(a: CcdfCurve, b: CcdfCurve) -> float:
     """Maximum absolute vertical gap between two CCDF step curves over
     the union of their thresholds."""
-    thresholds = np.union1d([x for x, _ in a.points], [x for x, _ in b.points])
-    return float(np.abs(_steps_at(a, thresholds) - _steps_at(b, thresholds)).max())
+    thresholds = np.union1d(a.points["x"], b.points["x"])
+    return float(np.abs(a.at(thresholds) - b.at(thresholds)).max())

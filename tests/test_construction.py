@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import math
 import re
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ import citecopy
 from citecopy import (
     BinomialTailQuery,
     CanonicalRef,
+    CcdfCurve,
     CopyChainConfig,
     CountSample,
     InvalidTallyError,
     MisprintClass,
     MisprintTally,
     RcsConfig,
+    ccdf,
     copy_factor,
     estimator_roundtrip,
     expected_count,
@@ -136,6 +139,48 @@ def test_count_sample(counts, label):
         CountSample((1, 2, 3), "x"),
         ("empty sample", "counts must be nonnegative"),
         counts=counts, label=label,
+    )
+
+
+def ccdf_curve_in_range(points):
+    xs = [x for x, _ in points]
+    return (
+        len(points) > 0
+        and all(isinstance(x, Integral) and -(2**63) <= x < 2**63 for x in xs)
+        and all(a < b for a, b in zip(xs, xs[1:]))
+        and all(0 <= f <= 1 for _, f in points)
+    )
+
+
+# thresholds: small integers, the int64 bounds and their outer
+# neighbours, far beyond them, and non-integers
+XS = st.one_of(
+    st.integers(-3, 12), st.sampled_from([2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**30, 1.5, math.nan])
+)
+# fractions in [0, 1], and NaN, infinity and the neighbours of the bounds
+FRACTIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -5e-324, math.nextafter(1.0, 2.0)]))
+
+
+def point_lists(xs):
+    """Lists of up to four (x, fraction) pairs, half of them sorted by x."""
+    pairs = st.lists(st.tuples(xs, FRACTIONS), max_size=4)
+    return st.one_of(pairs, pairs.map(lambda points: sorted(points, key=lambda point: point[0])))
+
+
+# structured arrays whose x column is unsigned or float
+STRUCTURED = st.tuples(
+    point_lists(st.sampled_from([0, 1, 2, 12, 2**63 - 1, 2**63])), st.sampled_from([np.uint64, np.float64])
+).map(lambda args: np.array(args[0], dtype=[("x", args[1]), ("fraction", np.float64)]))
+
+
+@given(points=st.one_of(point_lists(XS), point_lists(XS).map(tuple), STRUCTURED))
+def test_ccdf_curve(points):
+    assert_checked(
+        ccdf_curve_in_range,
+        CcdfCurve(((0, 1.0), (2, 0.5))),
+        ("a CCDF needs a 1-D sequence of at least one point", "every x must be an integer within the int64 range",
+         "x must be strictly increasing", "every fraction must be in [0, 1]"),
+        points=points,
     )
 
 
@@ -250,6 +295,7 @@ INPUTS = [
     BinomialTailQuery(350_000, 1 / 24_000, 500),
     CountSample((1, 2, 3), "x"),
     CanonicalRef("J.Phys.C", "6", "1181", "1973"),
+    CcdfCurve(((0, 1.0), (2, 0.5))),
 ]
 
 
@@ -277,12 +323,18 @@ RECORDS = [
     NET,
     parse_records(["a,J,1,2,3", "b, J ,1,2,4", "c,J,1,2,3"])[0],
     CountSample((3, 0, 5), "x"),
+    ccdf(CountSample((3, 0, 5), "x")),
+    log_bin_histogram(CountSample((3, 0, 5, 40), "x"), 2),
 ]
 
 
 def changed(value):
     """A value unequal to `value`, of the same kind."""
-    if isinstance(value, np.ndarray):
+    if isinstance(value, np.ndarray) and value.dtype.names:
+        value = value.copy()
+        value[value.dtype.names[0]] += 1  # the first field of every row
+        return value
+    if isinstance(value, (np.ndarray, float)):
         return value + 1
     if isinstance(value, MisprintTally):
         return dataclasses.replace(value, citations=value.citations + 1)
