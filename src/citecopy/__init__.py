@@ -25,19 +25,10 @@ from .distributions import (
 )
 from .errors import (
     CitecopyError,
-    EstimatorBreakdownError,
     InsufficientStatisticsError,
     InvalidTallyError,
 )
-from .estimator import (
-    MisprintTally,
-    ReaderEstimate,
-    copy_factor,
-    corrected_read_fraction,
-    misprint_probability,
-    naive_read_fraction,
-    propagation_factor,
-)
+from .estimator import MisprintTally, ReaderEstimate, corrected_read_fraction
 from .nullmodel import (
     BinomialTailQuery,
     binomial_log10_tail,

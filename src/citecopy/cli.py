@@ -105,14 +105,7 @@ def _utf8(path: str):
 
 
 def _estimate_dict(tally: MisprintTally) -> dict:
-    est = corrected_read_fraction(tally)
-    return {
-        "naive_r": est.naive_r,
-        "corrected_r": est.corrected_r,
-        "n_p": est.propagation_factor,
-        "n_c": est.copy_factor,
-        "M": est.misprint_prob,
-    }
+    return dict(zip(("naive_r", "corrected_r", "n_p", "n_c", "M"), astuple(corrected_read_fraction(tally))))
 
 
 def cmd_estimate(args: argparse.Namespace) -> dict:
@@ -289,9 +282,7 @@ def cmd_parse(args: argparse.Namespace) -> dict:
         table, report = parse_records(fh)
     tally, classes = classify(table, canonical)
     payload = {
-        "D": tally.distinct,
-        "T": tally.total,
-        "N": tally.citations,
+        **dict(zip("DTN", astuple(tally))),
         # by multiplicity, descending, then first appearance
         "classes": [
             {
@@ -342,7 +333,9 @@ def _write_csvs(csvs: list) -> None:
     """Write every (path, rows) CSV file or none: each goes to a temporary
     name beside its path, and all are renamed into place once every write
     has succeeded.  On a failure all that was written is removed, and an
-    OSError names the output path, as a direct write would."""
+    OSError names the output path, as a direct write would; only a
+    FileExistsError, from a temporary file left by an earlier process,
+    names that file."""
     created, placed = [], []
     try:
         for path, rows in csvs:
@@ -360,7 +353,7 @@ def _write_csvs(csvs: list) -> None:
                 os.remove(name)
             except FileNotFoundError:
                 pass  # a temporary already renamed
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and not isinstance(exc, FileExistsError):
             raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 

@@ -24,10 +24,6 @@ class InsufficientStatisticsError(CitecopyError):
     """No misprints observed; the estimator has no signal."""
 
 
-class EstimatorBreakdownError(CitecopyError):
-    """Misprint rate too high for the observed propagation factor."""
-
-
 def require_count(name: str, value, low, low_text: str | None = None) -> None:
     """Raise InvalidTallyError unless `value` is an integer >= `low`
     (numpy integers included).  The bound is checked first, as

@@ -12,11 +12,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import (
-    EstimatorBreakdownError,
-    InsufficientStatisticsError,
-    InvalidTallyError,
-)
+from .errors import InsufficientStatisticsError, InvalidTallyError
 
 
 @dataclass(frozen=True)
@@ -62,74 +58,36 @@ class ReaderEstimate:
     misprint_prob: float
 
 
-def naive_read_fraction(tally: MisprintTally) -> float:
-    """First-cut read fraction D/T: repeated misprints are copies, the
-    rest are presumed readers."""
-    if tally.total == 0:
-        raise InsufficientStatisticsError("no misprints observed")
-    return tally.distinct / tally.total
-
-
-def propagation_factor(tally: MisprintTally) -> float:
-    """Average number of times a typical misprint propagates, (T - D)/D."""
-    if tally.distinct == 0:
-        raise InsufficientStatisticsError("no distinct misprints observed")
-    return (tally.total - tally.distinct) / tally.distinct
-
-
-def misprint_probability(tally: MisprintTally) -> float:
-    """Per-citation probability of introducing a fresh misprint, D/N."""
-    if tally.citations == 0:
-        raise InvalidTallyError("citations must be >= 1")
-    return tally.distinct / tally.citations
-
-
-def copy_factor(n_p: float, m: float) -> float:
-    """Average number of citations copied (directly or transitively) from
-    a given citation, including miscopied descendants.
-
-    Solves the self-consistency relation
-        n_c = n_p + n_p * (m / (1 - m)) * (1 + n_c)
-    whose closed form is n_p / (1 - m - n_p * m).
-    """
-    if not 0.0 <= m < 1.0:
-        raise InvalidTallyError(f"misprint probability must be in [0, 1), got {m}")
-    if not n_p >= 0.0:
-        raise InvalidTallyError(f"propagation factor must be >= 0, got {n_p}")
-    denom = 1.0 - m - n_p * m
-    if denom <= 0.0:
-        raise EstimatorBreakdownError(
-            f"misprint rate {m} too high for propagation factor {n_p}"
-        )
-    return n_p / denom
-
-
 def corrected_read_fraction(tally: MisprintTally) -> ReaderEstimate:
-    """Full estimator chain from a tally to a ReaderEstimate.
+    """The estimator: every factor of a ReaderEstimate, from one tally.
 
-    The corrected read fraction is (D/T) * (N - T)/(N - D), which equals
-    1/(1 + n_c) with n_c = (T - D)/(D - MT) and M = D/N.  The correction
-    accounts for misprinted citations over-representing copiers.
+    The naive read fraction D/T counts repeated misprints as copies and
+    the rest as readers.  A typical misprint propagates n_p = (T - D)/D
+    times, and M = D/N is the per-citation probability of a fresh
+    misprint.  The copy factor n_c = (T - D)/(D - MT) solves
+        n_c = n_p + n_p * (M / (1 - M)) * (1 + n_c),
+    and the corrected read fraction (D/T) * (N - T)/(N - D) equals
+    1/(1 + n_c): misprinted citations over-represent copiers.
 
     When T = N every citation is misprinted: the copy factor diverges and
     the corrected fraction is 0 (the continuous limit of the formula).
     """
-    # raises when T = 0; past it D, T and N are all positive
-    naive = naive_read_fraction(tally)
-    n_p = propagation_factor(tally)
-    m = misprint_probability(tally)
     d, t, n = tally.distinct, tally.total, tally.citations
+    if t == 0:
+        raise InsufficientStatisticsError("no misprints observed")
+    # past it D, T and N are all positive
+    naive = d / t
+    m = d / n
     if t == n:
         n_c = math.inf
         corrected = 0.0
     else:
         corrected = naive * (n - t) / (n - d)
-        denom = d - m * t  # positive whenever t < n, since m = d/n
-        n_c = (t - d) / denom
+        n_c = (t - d) / (d - m * t)  # positive denominator whenever t < n
     return ReaderEstimate(
         naive_r=naive,
         corrected_r=corrected,
-        propagation_factor=n_p,
+        propagation_factor=(t - d) / d,
         copy_factor=n_c,
         misprint_prob=m,
     )

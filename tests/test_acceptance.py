@@ -31,7 +31,6 @@ from citecopy import (
     corrected_read_fraction,
     estimator_roundtrip,
     ks_distance,
-    naive_read_fraction,
     renowned_fraction,
     simulate_rcs,
     streak_probability,
@@ -54,8 +53,8 @@ def rcs_ensemble():
 
 def test_criterion_01_estimator_golden_numbers():
     tally = MisprintTally(45, 196, 4300)
-    naive = naive_read_fraction(tally)
-    corrected = corrected_read_fraction(tally).corrected_r
+    est = corrected_read_fraction(tally)
+    naive, corrected = est.naive_r, est.corrected_r
     ok = abs(naive - 0.2296) < 1e-4 and abs(corrected - 0.2214) < 1e-4
     report(1, ok, f"naive={naive:.6f} (0.2296), corrected={corrected:.6f} (0.2214)")
 

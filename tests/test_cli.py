@@ -621,6 +621,26 @@ class TestDist:
         assert list(out.iterdir()) == [out / "o_b_ccdf.csv"]
         assert list((out / "o_b_ccdf.csv").iterdir()) == []
 
+    def test_leftover_temporary_file_is_named(self, capsys, tmp_path):
+        # a temporary file of this process's name, left by an earlier
+        # process with the same pid: the error names it, not the output
+        counts = tmp_path / "a.txt"
+        counts.write_text("0\n1\n2\n5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        leftover = out / f"o_a_hist.csv.{os.getpid()}.tmp"
+        leftover.write_text("left behind\n")
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", str(counts), "--out-prefix", str(out / "o")
+        )
+        assert code == 1
+        assert payload["error"] == {
+            "type": "IOError",
+            "message": f"[Errno 17] File exists: '{leftover}'",
+        }
+        assert list(out.iterdir()) == [leftover]
+        assert leftover.read_text() == "left behind\n"
+
     def test_rcs_dump_ccdf_matches_renowned_fraction(self, capsys, tmp_path):
         # pipe a network dump through dist: the CCDF value at the
         # threshold must equal simulate-rcs's renowned fraction

@@ -30,7 +30,6 @@ from citecopy import (
     MisprintTally,
     RcsConfig,
     ccdf,
-    copy_factor,
     estimator_roundtrip,
     expected_count,
     log_bin_histogram,
@@ -210,7 +209,6 @@ CHAIN = CopyChainConfig(100, 0.5, 0.05, 1)
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: copy_factor(math.nan, 0.1), "propagation factor must be >= 0"),
         (lambda: renowned_fraction(NET, math.nan), "threshold must be >= 1"),
         (lambda: streak_probability(0.5, math.nan), "streak must be >= 0"),
         (lambda: expected_count(math.nan, -3.0), "population must be >= 0"),
@@ -219,7 +217,7 @@ CHAIN = CopyChainConfig(100, 0.5, 0.05, 1)
         (lambda: estimator_roundtrip(CHAIN, math.nan), "trials must be >= 1"),
         (lambda: CountSample(np.array([math.nan, 1.0])), "counts must be integers"),
     ],
-    ids=["copy_factor", "renowned_fraction", "streak_probability", "expected_count",
+    ids=["renowned_fraction", "streak_probability", "expected_count",
          "log_bin_histogram", "top_misprints", "estimator_roundtrip", "CountSample"],
 )
 def test_nan_argument_is_rejected(call, message):

@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citecopy import (
-    EstimatorBreakdownError,
     InsufficientStatisticsError,
     InvalidTallyError,
     MisprintTally,
-    copy_factor,
     corrected_read_fraction,
-    misprint_probability,
-    naive_read_fraction,
-    propagation_factor,
 )
 
 KT = MisprintTally(distinct=45, total=196, citations=4300)
@@ -31,67 +26,58 @@ def valid_tallies(max_n=100_000):
 
 class TestNaiveReadFraction:
     def test_kt_value(self):
-        assert naive_read_fraction(KT) == pytest.approx(0.2296, abs=1e-4)
+        assert corrected_read_fraction(KT).naive_r == pytest.approx(0.2296, abs=1e-4)
 
     def test_all_distinct_means_all_read(self):
-        assert naive_read_fraction(MisprintTally(10, 10, 100)) == 1.0
+        assert corrected_read_fraction(MisprintTally(10, 10, 100)).naive_r == 1.0
 
     def test_exact_division(self):
-        assert naive_read_fraction(MisprintTally(10, 100, 1000)) == 0.1
+        assert corrected_read_fraction(MisprintTally(10, 100, 1000)).naive_r == 0.1
 
     def test_no_misprints_is_an_error(self):
-        with pytest.raises(InsufficientStatisticsError):
-            naive_read_fraction(MisprintTally(0, 0, 50))
+        with pytest.raises(InsufficientStatisticsError, match="no misprints observed"):
+            corrected_read_fraction(MisprintTally(0, 0, 50))
 
 
 class TestPropagationFactor:
     def test_kt_value(self):
         # (196 - 45) / 45
-        assert propagation_factor(KT) == pytest.approx(3.3556, abs=1e-4)
+        assert corrected_read_fraction(KT).propagation_factor == pytest.approx(3.3556, abs=1e-4)
 
     def test_no_copying(self):
-        assert propagation_factor(MisprintTally(10, 10, 100)) == 0.0
+        assert corrected_read_fraction(MisprintTally(10, 10, 100)).propagation_factor == 0.0
 
     def test_exact_arithmetic(self):
-        assert propagation_factor(MisprintTally(50, 150, 1000)) == 2.0
+        assert corrected_read_fraction(MisprintTally(50, 150, 1000)).propagation_factor == 2.0
 
     def test_zero_distinct_is_an_error(self):
-        with pytest.raises(InsufficientStatisticsError):
-            propagation_factor(MisprintTally(0, 0, 100))
+        # D = 0 reaches the estimator only with T = 0, which it rejects
+        # (test_no_misprints): the tally rejects misprints without a variant
+        with pytest.raises(InvalidTallyError, match="zero together"):
+            MisprintTally(0, 5, 100)
 
 
 class TestMisprintProbability:
     def test_kt_value(self):
-        assert misprint_probability(KT) == pytest.approx(0.010465, abs=1e-6)
-
-    def test_zero(self):
-        assert misprint_probability(MisprintTally(0, 0, 4300)) == 0.0
+        assert corrected_read_fraction(KT).misprint_prob == pytest.approx(0.010465, abs=1e-6)
 
     def test_exact(self):
-        assert misprint_probability(MisprintTally(43, 43, 4300)) == 0.01
+        assert corrected_read_fraction(MisprintTally(43, 43, 4300)).misprint_prob == 0.01
 
 
 class TestCopyFactor:
     def test_kt_value(self):
-        assert copy_factor(3.3556, 0.010465) == pytest.approx(3.5158, abs=1e-3)
+        assert corrected_read_fraction(KT).copy_factor == pytest.approx(3.5158, abs=1e-3)
 
     def test_self_consistency_residual(self):
-        n_p, m = 3.3556, 0.010465
-        n_c = copy_factor(n_p, m)
+        est = corrected_read_fraction(KT)
+        n_p, m, n_c = est.propagation_factor, est.misprint_prob, est.copy_factor
         residual = n_c - (n_p + n_p * (m / (1 - m)) * (1 + n_c))
         assert abs(residual) < 1e-12
 
-    def test_no_misprints_during_copying(self):
-        for n_p in (0.0, 1.0, 7.25):
-            assert copy_factor(n_p, 0.0) == n_p
-
     def test_nothing_propagates(self):
-        assert copy_factor(0.0, 0.5) == 0.0
-
-    def test_breakdown(self):
-        # 1 - m - n_p * m <= 0
-        with pytest.raises(EstimatorBreakdownError):
-            copy_factor(10.0, 0.5)
+        # T = D: no copies, whatever the misprint probability (here 0.5)
+        assert corrected_read_fraction(MisprintTally(10, 10, 20)).copy_factor == 0.0
 
 
 class TestCorrectedReadFraction:
@@ -125,6 +111,22 @@ class TestCorrectedReadFraction:
 
 
 class TestProperties:
+    @given(st.one_of(
+        valid_tallies(),
+        valid_tallies().map(lambda x: MisprintTally(x.distinct, x.total, x.total)),
+    ))
+    def test_fields_are_bit_exact(self, tally):
+        # each field is its closed form to the last bit, not just close;
+        # the T = N tallies are where the copy factor diverges
+        d, t, n = tally.distinct, tally.total, tally.citations
+        if t == n:
+            n_c, corrected = math.inf, 0.0
+        else:
+            n_c, corrected = (t - d) / (d - (d / n) * t), (d / t) * (n - t) / (n - d)
+        est = corrected_read_fraction(tally)
+        assert (est.naive_r, est.propagation_factor, est.misprint_prob) == (d / t, (t - d) / d, d / n)
+        assert (est.copy_factor, est.corrected_r) == (n_c, corrected)
+
     @given(valid_tallies())
     def test_two_correction_forms_agree(self, tally):
         # (D/T)(N-T)/(N-D) == (D/T)(1 - MT/D)/(1 - M) with M = D/N
