@@ -20,10 +20,7 @@ nets = [
     simulate_rcs(RcsConfig(n_papers=24000, m=3, p=0.25, seed=seed))
     for seed in (1, 2)
 ]
-samples = [
-    CountSample(net.in_degree, label=f"run{seed}")
-    for seed, net in zip((1, 2), nets)
-]
+samples = [CountSample(net.in_degree) for net in nets]
 
 curves = [ccdf(s) for s in samples]
 print("in-degree CCDF of run 1 (first and last few points):")

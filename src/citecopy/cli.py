@@ -332,10 +332,11 @@ def _read_counts(path: str) -> np.ndarray:
 def _write_csvs(csvs: list) -> None:
     """Write every (path, rows) CSV file or none: each goes to a temporary
     name beside its path, and all are renamed into place once every write
-    has succeeded.  On a failure all that was written is removed, and an
-    OSError names the output path, as a direct write would; only a
-    FileExistsError, from a temporary file left by an earlier process,
-    names that file."""
+    has succeeded.  On a failure every file this call created is removed;
+    a file it replaced before the failure keeps the new output, since the
+    old one is gone.  An OSError names the output path, as a direct write
+    would; only a FileExistsError, from a temporary file left by an
+    earlier process, names that file."""
     created, placed = [], []
     try:
         for path, rows in csvs:
@@ -345,8 +346,10 @@ def _write_csvs(csvs: list) -> None:
                 created.append(temp)
                 fh.writelines(f"{x},{y}\n" for x, y in rows)
         for temp, (path, _) in zip(created, csvs):
+            existed = os.path.lexists(path)
             os.replace(temp, path)
-            placed.append(path)
+            if not existed:
+                placed.append(path)
     except BaseException as exc:
         for name in created + placed:
             try:
@@ -367,7 +370,7 @@ def cmd_dist(args: argparse.Namespace) -> dict:
     # written, so that a failing command leaves no files behind
     outputs, curves, csvs = [], [], []
     for values, label in zip(counts, labels):
-        sample = CountSample(values, label)
+        sample = CountSample(values)
         curves.append(ccdf(sample))
         entry = {"label": label, "ccdf_csv": f"{args.out_prefix}_{label}_ccdf.csv"}
         csvs.append((entry["ccdf_csv"], curves[-1].points.tolist()))

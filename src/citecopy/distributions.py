@@ -3,7 +3,6 @@ and a Kolmogorov-Smirnov style distance between step curves."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,12 +12,10 @@ from .errors import ArrayRecord, InvalidTallyError, require_count
 
 @dataclass(frozen=True, eq=False)
 class CountSample(ArrayRecord):
-    """Citations-per-paper counts with a label for output files.  Counts
-    may be any 1-D sequence of nonnegative integers, a numpy array
-    included; they are kept as a numpy integer array."""
+    """Citations-per-paper counts: any 1-D sequence of nonnegative
+    integers, a numpy array included, kept as a numpy integer array."""
 
     counts: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts)
@@ -93,23 +90,15 @@ def _bin_count(max_count: int, bins_per_decade: int) -> int:
     """The fewest bins, n >= 1, whose top edge 10.0 ** (n / bins_per_decade)
     is above `max_count`: what `n = 1; while 10.0 ** (n / bins_per_decade)
     <= max_count: n += 1` returns, without a step per bin.  That float test
-    turns once as n rises, so the turn is bracketed from the exact answer,
-    floor(bins_per_decade * log10(max_count)) + 1, by doubling steps, then
-    bisected; rounding can put the turn far from that answer when
-    `bins_per_decade` is huge."""
-
-    def above(n: int) -> bool:
-        return n > 0 and 10.0 ** (n / bins_per_decade) > max_count
-
-    hi = max(1, math.floor(bins_per_decade * math.log10(max_count)) + 1)
-    lo, step = hi - 1, 1
-    while not above(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while above(lo):
-        lo, hi, step = max(lo - step, 0), lo, 2 * step
-    while hi - lo > 1:  # above(hi), and not above(lo)
+    turns once as n rises and holds at n = 20 * bins_per_decade, since
+    10.0 ** 20 is above every int64, so the turn is bisected in [0, 20 * b].
+    A numpy integer is made a Python int first: 20 * b could overflow, and
+    numpy division and comparison round where Python's do not."""
+    b = int(bins_per_decade)
+    lo, hi = 0, 20 * b
+    while hi - lo > 1:  # the test holds at hi and fails at lo > 0
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        lo, hi = (lo, mid) if 10.0 ** (mid / b) > max_count else (mid, hi)
     return hi
 
 

@@ -101,10 +101,8 @@ def expected_count(population: int, per_item_prob_log10: float) -> float:
     require_count("population", population, 0)
     try:
         prob = 10.0**per_item_prob_log10
-    except OverflowError as exc:
-        raise CitecopyError(
-            f"10**{per_item_prob_log10} overflows double precision"
-        ) from exc
+    except OverflowError:
+        prob = math.inf
     if math.isinf(prob):
         raise CitecopyError(f"10**{per_item_prob_log10} overflows double precision")
     return population * prob

@@ -98,17 +98,16 @@ def parse_records(lines: Iterable[str]) -> tuple[CitationTable, ParseReport]:
     """Parse the line format above.  Malformed lines are collected in the
     report rather than raising; empty input yields an empty table.
 
-    Copied citations repeat a few renderings verbatim, so the text after
-    the first comma is split and stripped once per distinct text."""
+    Copied citations repeat a few renderings verbatim, so each distinct
+    text after the first comma of a kept record is split once."""
     source_ids: list[str] = []
     rendering: list[int] = []
-    renderings: list[tuple[str, str, str, str]] = []
     rejected: list[tuple[int, str]] = []
-    # text after the first comma -> its rendering's index, or the reason
-    # its lines are rejected
-    tails: dict[str, int | str] = {}
-    # stripped fields -> their index in renderings; two texts can strip
-    # to the same fields
+    # text after the first comma -> its rendering's index; a rejected
+    # text is split again on each of its lines
+    tails: dict[str, int] = {}
+    # stripped fields -> their index in the table's renderings, in order
+    # of first appearance; two texts can strip to the same fields
     index: dict[tuple[str, ...], int] = {}
     for lineno, raw in enumerate(lines, start=1):
         # the raw line's first comma is the stripped line's, and the last
@@ -117,28 +116,22 @@ def parse_records(lines: Iterable[str]) -> tuple[CitationTable, ParseReport]:
         source_id = source_id.strip()
         if source_id.startswith("#") or not (comma or source_id):
             continue  # a comment or a blank line
-        found = tails.get(tail) if comma else "wrong field count: expected 5, got 1"
+        found = tails.get(tail)
         if found is None:
-            fields = tuple(f.strip() for f in tail.split(","))
+            fields = tuple(f.strip() for f in tail.split(",")) if comma else ()
             if len(fields) != 4:
-                found = tails[tail] = f"wrong field count: expected 5, got {len(fields) + 1}"
-        if type(found) is str:
-            rejected.append((lineno, found))
-            continue
+                rejected.append((lineno, f"wrong field count: expected 5, got {len(fields) + 1}"))
+                continue
         if not source_id:
             rejected.append((lineno, "empty source_id"))
             continue
         if found is None:
             # the text's first kept record: a rendering enters the table
             # only with a record, so that its index is first appearance
-            found = index.get(fields)
-            if found is None:
-                found = index[fields] = len(renderings)
-                renderings.append(fields)
-            tails[tail] = found
+            found = tails[tail] = index.setdefault(fields, len(index))
         source_ids.append(source_id)
         rendering.append(found)
-    table = CitationTable(source_ids, np.array(rendering, dtype=np.intp), renderings)
+    table = CitationTable(source_ids, np.array(rendering, dtype=np.intp), list(index))
     return table, ParseReport(rejected=tuple(rejected))
 
 

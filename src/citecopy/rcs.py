@@ -15,11 +15,7 @@ one Bernoulli(p) coin per reference of each pick, drawn as one block per
 level in paper order, then one sort that keeps the first occurrence of
 each (paper, reference) pair.  Lists are appended to one pool in the
 order they are grown, and rearranged into compressed sparse rows (CSR),
-row offsets and cited papers, at the end.  The picks are those of
-earlier releases, but the coins are taken in level order, so seeded
-networks, and so seeded `simulate-rcs` output, differ from those of
-releases before this scheme; the statistics they are checked against
-do not.
+row offsets and cited papers, at the end.
 """
 
 from __future__ import annotations

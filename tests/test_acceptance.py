@@ -210,7 +210,7 @@ def test_criterion_10_heavy_tail_and_seed_stability(rcs_ensemble):
         if net.in_degree.max() > 50 * net.in_degree.mean()
     )
     curves = [
-        ccdf(CountSample(tuple(int(d) for d in net.in_degree), "rcs"))
+        ccdf(CountSample(tuple(int(d) for d in net.in_degree)))
         for net in rcs_ensemble[:2]
     ]
     ks = ks_distance(curves[0], curves[1])

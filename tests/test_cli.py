@@ -207,6 +207,12 @@ class TestSimulateRcs:
         assert code == 0
         assert threads == [threading.get_ident()]
 
+    @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
+    def test_cpus_without_affinity_masks(self, monkeypatch, cpu_count, cpus):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert cli._cpus() == cpus
+
     def test_at_most_two_runs_are_in_flight(self, capsys, monkeypatch):
         threads = self.record_growth_threads(monkeypatch)
         monkeypatch.setattr(cli, "_cpus", lambda: 64)
@@ -620,6 +626,30 @@ class TestDist:
         }
         assert list(out.iterdir()) == [out / "o_b_ccdf.csv"]
         assert list((out / "o_b_ccdf.csv").iterdir()) == []
+
+    def test_failed_write_keeps_a_replaced_file(self, capsys, tmp_path):
+        # o_a_ccdf.csv holds an earlier result and is replaced before the
+        # rename onto the directory o_b_ccdf.csv fails: it keeps the new
+        # rows, since the old ones are gone
+        paths = []
+        for name in ("a.txt", "b.txt"):
+            path = tmp_path / "in" / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("0\n1\n2\n5\n")
+            paths.append(str(path))
+        out = tmp_path / "out"
+        (out / "o_b_ccdf.csv").mkdir(parents=True)
+        (out / "o_a_ccdf.csv").write_text("old\n")
+        code, payload = run_strict_json(
+            capsys, "dist", "--counts", *paths, "--out-prefix", str(out / "o")
+        )
+        assert code == 1
+        assert payload["error"] == {
+            "type": "IOError",
+            "message": f"[Errno 21] Is a directory: '{out / 'o_b_ccdf.csv'}'",
+        }
+        assert sorted(out.iterdir()) == [out / "o_a_ccdf.csv", out / "o_b_ccdf.csv"]
+        assert (out / "o_a_ccdf.csv").read_text() == "0,1.0\n1,0.75\n2,0.5\n5,0.25\n"
 
     def test_leftover_temporary_file_is_named(self, capsys, tmp_path):
         # a temporary file of this process's name, left by an earlier

@@ -130,14 +130,13 @@ COUNT_LISTS = st.lists(st.integers(-3, 50), max_size=4)
     counts=st.one_of(
         COUNT_LISTS, COUNT_LISTS.map(tuple), COUNT_LISTS.map(lambda c: np.array(c, dtype=np.int64))
     ),
-    label=st.text(max_size=4),
 )
-def test_count_sample(counts, label):
+def test_count_sample(counts):
     assert_checked(
-        lambda counts, label: len(counts) > 0 and min(counts) >= 0,
-        CountSample((1, 2, 3), "x"),
+        lambda counts: len(counts) > 0 and min(counts) >= 0,
+        CountSample((1, 2, 3)),
         ("empty sample", "counts must be nonnegative"),
-        counts=counts, label=label,
+        counts=counts,
     )
 
 
@@ -271,16 +270,15 @@ def test_numpy_integers_are_integers():
     assert simulate_rcs(RcsConfig(np.int32(50), np.int64(2), 0.25, np.uint8(1))) == NET
     classes = [MisprintClass(("a",) * 4, 1, ("x",)), MisprintClass(("b",) * 4, 2, ("y", "z"))]
     assert top_misprints(classes, np.int64(1)) == top_misprints(classes, 1) == classes[1:]
-    sample = CountSample(np.array([3, 0, 5], dtype=np.uint8), "x")
+    sample = CountSample(np.array([3, 0, 5], dtype=np.uint8))
     assert np.issubdtype(sample.counts.dtype, np.integer)
 
 
 def test_count_sample_keeps_an_integer_array():
-    sample = CountSample((3, 0, 5), "x")
+    sample = CountSample((3, 0, 5))
     assert isinstance(sample.counts, np.ndarray) and sample.counts.tolist() == [3, 0, 5]
-    assert sample == CountSample(np.array([3, 0, 5]), "x")
-    assert sample != CountSample((3, 0, 5), "y")
-    assert sample != CountSample((3, 0, 6), "x")
+    assert sample == CountSample(np.array([3, 0, 5]))
+    assert sample != CountSample((3, 0, 6))
     with pytest.raises(TypeError):
         hash(sample)
 
@@ -291,7 +289,7 @@ INPUTS = [
     CopyChainConfig(4300, 0.22, 0.0105, 1),
     RcsConfig(100, 3, 0.25, 1),
     BinomialTailQuery(350_000, 1 / 24_000, 500),
-    CountSample((1, 2, 3), "x"),
+    CountSample((1, 2, 3)),
     CanonicalRef("J.Phys.C", "6", "1181", "1973"),
     CcdfCurve(((0, 1.0), (2, 0.5))),
 ]
@@ -320,9 +318,9 @@ RECORDS = [
     simulate_copy_chain(CHAIN),
     NET,
     parse_records(["a,J,1,2,3", "b, J ,1,2,4", "c,J,1,2,3"])[0],
-    CountSample((3, 0, 5), "x"),
-    ccdf(CountSample((3, 0, 5), "x")),
-    log_bin_histogram(CountSample((3, 0, 5, 40), "x"), 2),
+    CountSample((3, 0, 5)),
+    ccdf(CountSample((3, 0, 5))),
+    log_bin_histogram(CountSample((3, 0, 5, 40)), 2),
 ]
 
 

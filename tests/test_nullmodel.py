@@ -156,6 +156,12 @@ class TestExpectedCount:
         with pytest.raises(CitecopyError):
             expected_count(10, 400.0)
 
+    @pytest.mark.parametrize("log10", [math.inf, 400.0])
+    def test_overflow_message(self, log10):
+        # 10.0 ** inf is inf, while 10.0 ** 400.0 raises OverflowError
+        with pytest.raises(CitecopyError, match=rf"^10\*\*{log10} overflows double precision$"):
+            expected_count(1, log10)
+
     def test_validation(self):
         with pytest.raises(InvalidTallyError):
             expected_count(-1, 0.0)

@@ -284,7 +284,7 @@ class TestDegreeStats:
 
     def test_ccdf_matches_renowned_fraction(self):
         net = simulate_rcs(RcsConfig(2000, 3, 0.25, 21))
-        curve = ccdf(CountSample(tuple(int(d) for d in net.in_degree), "x"))
+        curve = ccdf(CountSample(tuple(int(d) for d in net.in_degree)))
         for threshold in (1, 5, 20):
             assert curve.at(threshold) == renowned_fraction(net, threshold)[1]
 
