@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the two rules that
-the modules share: `require_count`, which checks every count argument,
+the modules share: `require_count`, the check of every scalar count field,
 and `ArrayRecord`, the equality of every record that holds numpy arrays."""
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class InsufficientStatisticsError(CitecopyError):
 
 def require_count(name: str, value, low, low_text: str | None = None) -> None:
     """Raise InvalidTallyError unless `value` is an integer >= `low`
-    (numpy integers included).  The bound is checked first, as
-    `not value >= low`, so that NaN, which fails every comparison, fails
+    (numpy integers included); every scalar count field goes through
+    it.  The bound is checked first, as `not value >= low`, so NaN fails
     it; its message names the bound as `low_text`, if given."""
     if not value >= low:
         raise InvalidTallyError(f"{name} must be >= {low_text or low}")

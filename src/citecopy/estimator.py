@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
-from .errors import InsufficientStatisticsError, InvalidTallyError
+from .errors import InsufficientStatisticsError, InvalidTallyError, require_count
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,9 @@ class MisprintTally:
 
     def __post_init__(self) -> None:
         d, t, n = self.distinct, self.total, self.citations
-        if not (0 <= d <= t <= n):
-            raise InvalidTallyError(
-                f"need 0 <= distinct <= total <= citations, got "
-                f"distinct={d}, total={t}, citations={n}"
-            )
-        if not all(isinstance(x, Integral) for x in (d, t, n)):
-            raise InvalidTallyError(
-                f"distinct, total and citations must be integers, got "
-                f"distinct={d!r}, total={t!r}, citations={n!r}"
-            )
+        require_count("distinct", d, 0)
+        require_count("total", t, d, "distinct")
+        require_count("citations", n, t, "total")
         if (d == 0) != (t == 0):
             raise InvalidTallyError(
                 f"distinct and total must be zero together, got "

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
-from .errors import CitecopyError, InvalidTallyError, require_count
+from .errors import InvalidTallyError, require_count
 
 LN10 = math.log(10.0)
 # stop summing once a term is this many orders of magnitude below the sum
@@ -28,10 +27,8 @@ class BinomialTailQuery:
     threshold: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.threshold <= self.trials:
-            raise InvalidTallyError("need 0 <= threshold <= trials")
-        if not isinstance(self.trials, Integral) or not isinstance(self.threshold, Integral):
-            raise InvalidTallyError("trials and threshold must be integers")
+        require_count("threshold", self.threshold, 0)
+        require_count("trials", self.trials, self.threshold, "threshold")
         if not 0.0 <= self.success_prob <= 1.0:
             raise InvalidTallyError("success_prob must be in [0, 1]")
 
@@ -47,17 +44,15 @@ def _log_pmf(n: int, log_p: float, log_q: float, k: int) -> float:
 
 
 def _log_sum_terms(n: int, log_p: float, log_q: float, ks: range) -> float:
-    """log of the sum of the pmf over `ks`, which must run away from the
-    mode: the running log-sum-exp stops once a term has fallen 40 orders
-    of magnitude below the sum, so the truncation error stays far below
-    reporting precision."""
-    log_sum = -math.inf
-    for j in ks:
+    """log of the sum of the pmf over `ks`, a nonempty range that runs
+    away from the mode.  The pmf is unimodal, so the first term is the
+    largest and seeds the sum.  The running log-sum-exp stops once a term
+    has fallen 40 orders of magnitude below the sum, so the truncation
+    error stays far below reporting precision."""
+    log_sum = _log_pmf(n, log_p, log_q, ks[0])
+    for j in ks[1:]:
         term = _log_pmf(n, log_p, log_q, j)
-        if term > log_sum:
-            log_sum = term + math.log1p(math.exp(log_sum - term))
-        else:
-            log_sum = log_sum + math.log1p(math.exp(term - log_sum))
+        log_sum += math.log1p(math.exp(term - log_sum))
         if term < log_sum - TERM_CUTOFF_LOG:
             break
     return log_sum
@@ -73,12 +68,10 @@ def binomial_log10_tail(query: BinomialTailQuery) -> float:
     when P(X <= k - 1) is below double precision.
     """
     n, p, k = query.trials, query.success_prob, query.threshold
-    if k == 0:
+    if k == 0 or p == 1.0:
         return 0.0
     if p == 0.0:
         return -math.inf
-    if p == 1.0:
-        return 0.0
     log_p, log_q = math.log(p), math.log1p(-p)
     if k > int(n * p):
         return min(_log_sum_terms(n, log_p, log_q, range(k, n + 1)) / LN10, 0.0)
@@ -96,13 +89,9 @@ def streak_probability(win_prob: float, streak: int) -> float:
 
 
 def expected_count(population: int, per_item_prob_log10: float) -> float:
-    """Expected number of hits in a population given a per-item log10
-    probability: population * 10**per_item_prob_log10."""
+    """Expected hits, population * 10**per_item_prob_log10, for a per-item
+    log10 probability in its domain: <= 0, -inf included, NaN not."""
     require_count("population", population, 0)
-    try:
-        prob = 10.0**per_item_prob_log10
-    except OverflowError:
-        prob = math.inf
-    if math.isinf(prob):
-        raise CitecopyError(f"10**{per_item_prob_log10} overflows double precision")
-    return population * prob
+    if not per_item_prob_log10 <= 0.0:
+        raise InvalidTallyError("per_item_prob_log10 must be <= 0")
+    return population * 10.0**per_item_prob_log10

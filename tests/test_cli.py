@@ -92,6 +92,16 @@ class TestEstimate:
         assert code == 2
         assert payload["error"]["type"] == "InsufficientStatisticsError"
 
+    def test_invalid_tally(self, capsys):
+        code, payload = run_strict_json(
+            capsys, "estimate", "--distinct", "5", "--total", "3",
+            "--citations", "10",
+        )
+        assert code == 2
+        assert payload["error"] == {"type": "InvalidTallyError", "message": "total must be >= distinct"}
+        parameters = payload["manifest"]["parameters"]
+        assert (parameters["distinct"], parameters["total"], parameters["citations"]) == (5, 3, 10)
+
 
 class TestSimulateRcs:
     def test_no_copying_out_degree(self, capsys, tmp_path):
@@ -367,7 +377,7 @@ class TestTail:
             capsys, "tail", "--trials", "5", "--prob", "0.5", "--threshold", "6",
         )
         assert code == 2
-        assert "error" in payload
+        assert payload["error"] == {"type": "InvalidTallyError", "message": "trials must be >= threshold"}
 
     def test_one_in_zero(self, capsys):
         code, payload = run_strict_json(

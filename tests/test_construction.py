@@ -75,7 +75,8 @@ def test_misprint_tally(distinct, total, citations):
     assert_checked(
         tally_in_range,
         MisprintTally(45, 196, 4300),
-        ("need 0 <= distinct <= total <= citations, got ", "distinct and total must be zero together, got "),
+        ("distinct must be >= 0", "total must be >= distinct", "citations must be >= total",
+         "distinct and total must be zero together, got "),
         distinct=distinct, total=total, citations=citations,
     )
 
@@ -118,7 +119,7 @@ def test_binomial_tail_query(trials, success_prob, threshold):
     assert_checked(
         tail_query_in_range,
         BinomialTailQuery(350_000, 1 / 24_000, 500),
-        ("need 0 <= threshold <= trials", "success_prob must be in [0, 1]"),
+        ("threshold must be >= 0", "trials must be >= threshold", "success_prob must be in [0, 1]"),
         trials=trials, success_prob=success_prob, threshold=threshold,
     )
 
@@ -232,10 +233,10 @@ def test_nan_argument_is_rejected(call, message):
         (lambda: CountSample("123"), "counts must be a 1-D sequence of integers"),
         (lambda: CountSample([[1, 2], [3, 4]]), "counts must be a 1-D sequence of integers"),
         (lambda: CountSample([True, False]), "counts must be integers"),
-        (lambda: MisprintTally(1.5, 2, 3), "distinct, total and citations must be integers"),
-        (lambda: MisprintTally(1, 2, 3.0), "distinct, total and citations must be integers"),
-        (lambda: BinomialTailQuery(10.5, 0.5, 3), "trials and threshold must be integers"),
-        (lambda: BinomialTailQuery(10, 0.5, 3.0), "trials and threshold must be integers"),
+        (lambda: MisprintTally(1.5, 2, 3), "distinct must be an integer, got 1.5"),
+        (lambda: MisprintTally(1, 2, 3.0), "citations must be an integer, got 3.0"),
+        (lambda: BinomialTailQuery(10.5, 0.5, 3), "trials must be an integer, got 10.5"),
+        (lambda: BinomialTailQuery(10, 0.5, 3.0), "threshold must be an integer, got 3.0"),
         (lambda: estimator_roundtrip(CHAIN, 2.0), "trials must be an integer"),
         (lambda: renowned_fraction(NET, 1.5), "threshold must be an integer"),
         (lambda: CopyChainConfig(10.5, 0.5, 0.1, 1), "n_citations must be an integer"),

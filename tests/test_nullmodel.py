@@ -151,16 +151,18 @@ class TestExpectedCount:
     def test_null_model_predicts_none(self):
         # 10**-500 underflows double precision, so this is exactly zero
         assert expected_count(24000, -500) <= 1e-490
+        assert expected_count(24000, -math.inf) == 0.0
 
     def test_overflow(self):
         with pytest.raises(CitecopyError):
             expected_count(10, 400.0)
 
-    @pytest.mark.parametrize("log10", [math.inf, 400.0])
+    @pytest.mark.parametrize("log10", [math.inf, 400.0, 0.5, math.nan])
     def test_overflow_message(self, log10):
-        # 10.0 ** inf is inf, while 10.0 ** 400.0 raises OverflowError
-        with pytest.raises(CitecopyError, match=rf"^10\*\*{log10} overflows double precision$"):
-            expected_count(1, log10)
+        # 10.0 ** inf is inf and 10.0 ** 400.0 would raise OverflowError;
+        # 10**0.5 is no probability, and NaN is no log10 of one
+        with pytest.raises(InvalidTallyError, match=r"^per_item_prob_log10 must be <= 0$"):
+            expected_count(10, log10)
 
     def test_validation(self):
         with pytest.raises(InvalidTallyError):
