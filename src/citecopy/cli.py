@@ -303,30 +303,27 @@ def _read_counts(path: str) -> np.ndarray:
     """The counts in the UTF-8 file at `path`: one integer per line, as
     `int` reads it, with blank lines and `#` comment lines skipped.
 
-    Counts repeat, so each distinct line is stripped and converted once,
-    in order of first appearance: the first line that fails is still the
-    one reported."""
+    Counts repeat, so the file is read as a tally of its distinct lines,
+    each stripped and converted once, in order of first appearance: the
+    first line that fails is still the one reported.  The counts come
+    back grouped by line text (line ending excluded), the groups in that
+    order, since no use of a sample depends on the order of its counts."""
     with _utf8(path) as fh:
         # text mode has made every line break "\n"; splitlines() would also
         # break at characters such as "\x0c" and "\x85" that end no line
-        lines = fh.read().split("\n")
-    index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
-    texts = [line.strip() for line in index]
+        tally = collections.Counter(fh.read().split("\n"))
+    texts = [line.strip() for line in tally]
     kept = np.array([text != "" and text[0] != "#" for text in texts], dtype=bool)
-    values = np.zeros(kept.size, dtype=np.int64)
     try:
         # int() on each kept distinct line, in C
-        values[kept] = np.array([text for text, keep in zip(texts, kept) if keep], dtype=np.int64)
+        values = np.array([text for text, keep in zip(texts, kept) if keep], dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
     except ValueError as exc:
         raise ValueError(f"bad counts file: {exc}") from exc
-    of_line = np.fromiter(map(index.__getitem__, lines), np.min_scalar_type(len(index)), len(lines))
-    counts = values[of_line[kept[of_line]]]
-    negative = counts[counts < 0]
-    if negative.size:
-        raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")
-    return counts
+    if (values < 0).any():
+        raise ValueError(f"bad counts file: negative count {values[values < 0][0]} in {path}")
+    return values.repeat(np.array(list(tally.values()))[kept])
 
 
 def _write_csvs(csvs: list) -> None:

@@ -139,8 +139,10 @@ class RoundtripSummary:
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:
-    """Derive one 64-bit seed per trial, deterministically from the base
-    seed.  Shared by the library and the CLI so both agree."""
+    """One 64-bit seed per trial, from the base seed alone, shared by the
+    library and the CLI; for j <= k, `trial_seeds(s, k)[:j]` is `trial_seeds(s, j)`."""
+    require_count("seed", seed, 0)
+    require_count("trials", trials, 0)
     ss = np.random.SeedSequence(seed)
     return ss.generate_state(trials, dtype=np.uint64)
 

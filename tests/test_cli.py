@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import io
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -557,6 +559,29 @@ class TestDist:
         assert code == 2
         assert payload["error"]["message"] == f"bad counts file: negative count -2 in {a}"
 
+    def test_line_order_is_ignored(self, capsys, tmp_path):
+        # `_read_counts` returns counts grouped by line text, not in file
+        # order, which is right only if no output depends on line order
+        paths = [tmp_path / name for name in ("counts_a.txt", "counts_b.txt")]
+        for path in paths:
+            shutil.copy(GOLDEN / path.name, path)
+        argv = ["dist", "--counts", *map(str, paths), "--out-prefix", str(tmp_path / "o")]
+        outputs = [tmp_path / f"o_{p.stem}_{kind}.csv" for p in paths for kind in ("ccdf", "hist")]
+
+        def run_dist():
+            code, out = run(capsys, *argv)
+            assert code == 0
+            return out, [path.read_bytes() for path in outputs]
+
+        before = run_dist()
+        rng = random.Random(23)
+        for path in paths:
+            lines = path.read_text().splitlines()
+            rng.shuffle(lines)
+            assert lines != path.read_text().splitlines()
+            path.write_text("\n".join(lines) + "\n")
+        assert run_dist() == before
+
     def test_count_beyond_int64_is_rejected(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         a.write_text(f"1\n{2**63}\n")
@@ -772,11 +797,18 @@ def test_counts_reader_edge_cases(capsys, tmp_path, data, expected):
 
 def read_counts_per_line(path):
     """The reference for `cli._read_counts`: the file's lines as Python's
-    text-mode iterator yields them, each `int(line)` made an int64 in turn,
-    so that the first line that fails is the one reported."""
+    text-mode iterator yields them, grouped by their text without the line
+    ending, the groups in order of first appearance.  Each group's stripped
+    text is made an int64 once, in turn, so that the first line that fails
+    is the one reported, and stands for every line of its group."""
+    with open(path, encoding="utf-8-sig") as fh:
+        groups = collections.Counter(line.removesuffix("\n") for line in fh)
+    values = []
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            values = [np.int64(int(line)) for line in map(str.strip, fh) if line and line[0] != "#"]
+        for line, n in groups.items():
+            text = line.strip()
+            if text and text[0] != "#":
+                values += [np.int64(int(text))] * n
         counts = np.array(values, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc

@@ -40,6 +40,7 @@ from citecopy import (
     streak_probability,
     top_misprints,
 )
+from citecopy.copychain import trial_seeds
 from citecopy.errors import ArrayRecord
 
 # integer fields: every value near the bounds, huge values and NaN
@@ -216,9 +217,12 @@ CHAIN = CopyChainConfig(100, 0.5, 0.05, 1)
         (lambda: top_misprints([], math.nan), "k must be >= 0"),
         (lambda: estimator_roundtrip(CHAIN, math.nan), "trials must be >= 1"),
         (lambda: CountSample(np.array([math.nan, 1.0])), "counts must be integers"),
+        (lambda: trial_seeds(1, -1), "trials must be >= 0"),
+        (lambda: trial_seeds(-1, 2), "seed must be >= 0"),
     ],
     ids=["renowned_fraction", "streak_probability", "expected_count",
-         "log_bin_histogram", "top_misprints", "estimator_roundtrip", "CountSample"],
+         "log_bin_histogram", "top_misprints", "estimator_roundtrip", "CountSample",
+         "trial_seeds-trials", "trial_seeds-seed"],
 )
 def test_nan_argument_is_rejected(call, message):
     with pytest.raises(InvalidTallyError, match=message):
@@ -247,13 +251,15 @@ def test_nan_argument_is_rejected(call, message):
         (lambda: streak_probability(0.5, 2.5), "streak must be an integer"),
         (lambda: expected_count(10.5, 0.0), "population must be an integer"),
         (lambda: log_bin_histogram(CountSample((1, 2)), 2.5), "bins_per_decade must be an integer"),
+        (lambda: trial_seeds(1, 2.5), "trials must be an integer, got 2.5"),
+        (lambda: trial_seeds(1.5, 2), "seed must be an integer, got 1.5"),
     ],
     ids=["CountSample-float", "CountSample-nan", "CountSample-str", "CountSample-2d", "CountSample-bool",
          "MisprintTally-distinct", "MisprintTally-citations", "BinomialTailQuery-trials",
          "BinomialTailQuery-threshold", "estimator_roundtrip-trials", "renowned_fraction-threshold",
          "CopyChainConfig-n_citations", "CopyChainConfig-seed", "RcsConfig-n_papers", "RcsConfig-m",
          "top_misprints-k", "streak_probability-streak", "expected_count-population",
-         "log_bin_histogram-bins_per_decade"],
+         "log_bin_histogram-bins_per_decade", "trial_seeds-trials", "trial_seeds-seed"],
 )
 def test_non_integer_count_is_rejected(call, message):
     with pytest.raises(InvalidTallyError, match=message):

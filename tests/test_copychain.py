@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from citecopy import (
     CopyChainConfig,
@@ -179,6 +180,12 @@ class TestEstimatorRoundtrip:
         s = estimator_roundtrip(cfg, 1)
         first = CopyChainConfig(4300, 0.22, 0.0105, int(trial_seeds(3, 1)[0]))
         assert simulate_copy_chain(first).tally == s.pooled
+
+    @given(seed=st.integers(0, 2**128), k=st.integers(1, 64), data=st.data())
+    def test_trial_seeds_of_fewer_trials_are_a_prefix(self, seed, k, data):
+        # so the first trial seed of any round trip is `trial_seeds(seed, 1)[0]`
+        j = data.draw(st.integers(1, k))
+        assert np.array_equal(trial_seeds(seed, k)[:j], trial_seeds(seed, j))
 
     def test_every_trial_is_one_simulate_copy_chain(self, monkeypatch):
         # the round trip has no chain path of its own: trial j is the chain
