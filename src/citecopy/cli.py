@@ -47,8 +47,6 @@ EXIT_OK, EXIT_IO, EXIT_DOMAIN = 0, 1, 2
 
 # rows, and values, that `_write_rows` renders into one buffer at a time
 DUMP_BLOCK = 1 << 13
-# 10**1 .. 10**18: an int64 has at most 19 digits
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 class UsageError(CitecopyError):
@@ -230,18 +228,19 @@ def _render_rows(heads: np.ndarray, bounds: np.ndarray, values: np.ndarray, sep:
     # too if its row is empty; one after a value, a space or the newline
     trail = np.ones(nums.size, dtype=np.int64)
     trail[first] += len(sep) - 1 + (counts == 0)
-    width = 1 + int(np.count_nonzero(_POWERS_OF_TEN <= nums.max()))
-    ndigits = np.ones(nums.size, dtype=np.int64)
-    for power in _POWERS_OF_TEN[:width - 1]:
-        ndigits += nums >= power
+    width = len(str(nums.max()))
+    digits = np.empty((width, nums.size), dtype=np.uint8)
+    ndigits = np.ones(nums.size, dtype=np.int64)  # 1 + the passes that leave a quotient
+    rest = nums
+    for j in range(width):
+        quotient = rest // 10
+        digits[j] = rest - 10 * quotient
+        ndigits += quotient > 0
+        rest = quotient
+    digits += ord("0")
     # a pad of `width` bytes in front takes the first number's leading zeros
     end = np.cumsum(ndigits + trail) + width  # just past each number's trailer
     stop = end - trail  # just past each number's last digit
-    digits = np.empty((width, nums.size), dtype=np.uint8)
-    rest = nums
-    for j in range(width):
-        rest, digits[j] = np.divmod(rest, 10)
-    digits += ord("0")
     buf = np.empty(end[-1], dtype=np.uint8)
     # most significant digit first: a short number's leading zeros land on
     # bytes before it, which a later, less significant pass or one of the
@@ -361,6 +360,7 @@ def _write_csvs(csvs: list) -> None:
 def cmd_dist(args: argparse.Namespace) -> dict:
     if len(args.counts) > 2:
         raise InvalidTallyError("at most two counts files")
+    require_count("bins_per_decade", args.bins_per_decade, 1)
     labels = [os.path.splitext(os.path.basename(path))[0] for path in args.counts]
     counts = [_read_counts(path) for path in args.counts]
     # every curve and histogram is computed before the first file is

@@ -27,6 +27,8 @@ class CountSample(ArrayRecord):
             raise InvalidTallyError(f"counts must be integers, got dtype {counts.dtype}")
         if not counts.min() >= 0:
             raise InvalidTallyError("counts must be nonnegative")
+        if counts.max() > np.iinfo(np.int64).max:
+            raise InvalidTallyError("counts must be within the int64 range")
         object.__setattr__(self, "counts", counts)
 
 

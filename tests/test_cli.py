@@ -607,18 +607,20 @@ class TestDist:
         "inputs, flags, message",
         [
             (["a.txt"], ["--bins-per-decade", "0"], "bins_per_decade must be >= 1"),
+            # no positive count, so no histogram would need the bins
+            (["zeros.txt"], ["--bins-per-decade", "0"], "bins_per_decade must be >= 1"),
             (["a.txt", "empty.txt"], [], "empty sample"),
             # both would write o_a_ccdf.csv and o_a_hist.csv
             (["x/a.txt", "y/a.txt"], [], "both counts files have the label 'a'; their outputs would collide"),
         ],
-        ids=["no-bins", "empty-second-file", "same-label"],
+        ids=["no-bins", "no-bins-no-positive-count", "empty-second-file", "same-label"],
     )
     def test_failure_leaves_no_files(self, capsys, tmp_path, inputs, flags, message):
         paths = []
         for name in inputs:
             path = tmp_path / "in" / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("# nothing\n" if name == "empty.txt" else "0\n1\n2\n5\n")
+            path.write_text({"empty.txt": "# nothing\n", "zeros.txt": "0\n0\n"}.get(name, "0\n1\n2\n5\n"))
             paths.append(str(path))
         out = tmp_path / "out"
         out.mkdir()

@@ -126,18 +126,22 @@ def test_binomial_tail_query(trials, success_prob, threshold):
 
 
 COUNT_LISTS = st.lists(st.integers(-3, 50), max_size=4)
+# uint64 counts at and past the int64 bound
+UINT64_ARRAYS = st.lists(st.sampled_from([0, 2**63 - 1, 2**63, 2**64 - 1]), max_size=4).map(
+    lambda c: np.array(c, dtype=np.uint64)
+)
 
 
 @given(
     counts=st.one_of(
-        COUNT_LISTS, COUNT_LISTS.map(tuple), COUNT_LISTS.map(lambda c: np.array(c, dtype=np.int64))
+        COUNT_LISTS, COUNT_LISTS.map(tuple), COUNT_LISTS.map(lambda c: np.array(c, dtype=np.int64)), UINT64_ARRAYS
     ),
 )
 def test_count_sample(counts):
     assert_checked(
-        lambda counts: len(counts) > 0 and min(counts) >= 0,
+        lambda counts: len(counts) > 0 and min(counts) >= 0 and max(counts) < 2**63,
         CountSample((1, 2, 3)),
-        ("empty sample", "counts must be nonnegative"),
+        ("empty sample", "counts must be nonnegative", "counts must be within the int64 range"),
         counts=counts,
     )
 
