@@ -64,46 +64,6 @@ class CopyChainOutcome(ArrayRecord):
     tally: MisprintTally
 
 
-def _resolve_variants(parent: np.ndarray, corrupt: np.ndarray) -> np.ndarray:
-    """Variant id of each citation in the copy forest.
-
-    parent[i] is -1 (citation i read the original) or an index below i;
-    corrupt[i] says whether its transcription was corrupted.  The variant
-    is the ordinal (1-based, in index order) of the nearest corrupted
-    ancestor, itself included, or 0 when there is none.
-    """
-    n = parent.size
-    # slot n stands for the original: parent -1 indexes it, and it points
-    # at itself, as every corrupted citation does
-    ptr = np.append(np.where(corrupt, np.arange(n), parent), -1)
-    # pointer jumping: every citation takes over its target's pointer.  No
-    # corrupted citation ever lies strictly between a citation and its
-    # target, so the fixed point, reached after O(log depth) rounds, is the
-    # nearest corrupted ancestor or the original.
-    while True:
-        jumped = ptr[ptr]
-        if np.array_equal(jumped, ptr):
-            break
-        ptr = jumped
-    ordinal = np.zeros(n + 1, dtype=np.intp)
-    hits = np.flatnonzero(corrupt)
-    ordinal[hits] = np.arange(1, hits.size + 1)
-    return ordinal[ptr[:n]]
-
-
-def _draw_forest(config: CopyChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Parents and corruption flags of one chain, from one (3, N) block of
-    PCG64 uniforms: read or copy, which earlier citation, corrupted."""
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
-    reads, picks, corrupts = rng.random((3, config.n_citations))
-    idx = np.arange(config.n_citations)
-    copies = reads >= config.read_prob
-    copies[0] = False
-    # floor(u * i) lies in [0, i) for every double u < 1
-    parent = np.where(copies, (picks * idx).astype(np.intp), -1)
-    return parent, corrupts < config.misprint_prob
-
-
 def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     """Run one chain.  Uses PCG64 seeded from config.seed.
 
@@ -114,10 +74,30 @@ def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     always sources the original.  Variant ids are 1..D in order of first
     appearance.
     """
-    variants = _resolve_variants(*_draw_forest(config))
-    # variant ids run 1..D, so the largest is D
-    tally = MisprintTally(int(variants.max()), int(np.count_nonzero(variants)), config.n_citations)
-    return CopyChainOutcome(variants, tally)
+    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    n = config.n_citations
+    reads, picks, corrupts = rng.random((3, n))
+    # slot n stands for the original: -1 indexes it, and it points at
+    # itself, as every corrupted citation does
+    ptr = np.empty(n + 1, dtype=np.intp)
+    ptr[:n] = picks * np.arange(n)  # floor(u * i), in [0, i) for every double u < 1
+    ptr[:n][reads < config.read_prob] = -1
+    ptr[0] = ptr[n] = -1
+    hits = np.flatnonzero(corrupts < config.misprint_prob)
+    ptr[hits] = hits
+    # pointer jumping: every citation takes over its target's pointer.  No
+    # corrupted citation ever lies strictly between a citation and its
+    # target, so the fixed point, reached after O(log depth) rounds, is the
+    # nearest corrupted ancestor or the original.
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            break
+        ptr = jumped
+    ordinal = np.zeros(n + 1, dtype=np.intp)
+    ordinal[hits] = np.arange(1, hits.size + 1)
+    variants = ordinal[ptr[:n]]
+    return CopyChainOutcome(variants, MisprintTally(hits.size, int(np.count_nonzero(variants)), n))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,29 @@ from citecopy import (
     simulate_copy_chain,
 )
 from citecopy import copychain
-from citecopy.copychain import _draw_forest, _resolve_variants, trial_seeds
+from citecopy.copychain import trial_seeds
 
 from chain_moments import Z, expected_tally, joint_probs, misprint_probs, pooled_moments
+
+
+def reference_forest(config):
+    """Reference: parents and corruption flags of a chain, citation by
+    citation from the chain's own (3, N) block of PCG64 uniforms (read or
+    copy, which earlier citation, corrupted)."""
+    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    reads, picks, corrupts = rng.random((3, config.n_citations)).tolist()
+    parent = [
+        -1 if i == 0 or u < config.read_prob else math.floor(v * i)
+        for i, (u, v) in enumerate(zip(reads, picks))
+    ]
+    return parent, [c < config.misprint_prob for c in corrupts]
 
 
 def loop_variants(parent, corrupt):
     """Reference: resolve variants citation by citation, in index order."""
     variants = []
     next_variant = 1
-    for p, c in zip(parent.tolist(), corrupt.tolist()):
+    for p, c in zip(parent, corrupt):
         if c:
             variants.append(next_variant)
             next_variant += 1
@@ -70,27 +83,30 @@ class TestSimulateCopyChain:
             assert t.total == sum(1 for v in out.variants if v > 0)
 
     def test_parents_lie_below_their_child(self):
-        # over many chains, citation i copies every index in [0, i) and no
-        # other; citation 0 always reads
+        # over many chains, the reference's citation i copies every index in
+        # [0, i) and no other, and citation 0 always reads; the library
+        # resolves each of these chains as the reference does
         n = 30
         seen = [set() for _ in range(n)]
         for sd in trial_seeds(11, 3000):
-            parent, _ = _draw_forest(CopyChainConfig(n, 0.1, 0.2, int(sd)))
-            for i, p in enumerate(parent.tolist()):
+            config = CopyChainConfig(n, 0.1, 0.2, int(sd))
+            parent, corrupt = reference_forest(config)
+            assert simulate_copy_chain(config).variants.tolist() == loop_variants(parent, corrupt)
+            for i, p in enumerate(parent):
                 if p >= 0:
                     seen[i].add(p)
         assert seen == [set(range(i)) for i in range(n)]
 
     def test_pointer_jumping_matches_loop(self):
+        # pins the RNG stream, the parent law and the resolution at once
         cases = [
             (1, 0.5, 0.5), (50, 0.0, 0.05), (500, 0.22, 0.0105),
-            (2000, 0.0, 0.001), (300, 0.5, 0.9),
+            (2000, 0.0, 0.001), (300, 0.5, 0.9), (40, 1.0, 0.3), (40, 0.3, 0.0),
         ]
         for n, r, m in cases:
             for sd in trial_seeds(n, 5):
-                parent, corrupt = _draw_forest(CopyChainConfig(n, r, m, int(sd)))
-                got = _resolve_variants(parent, corrupt)
-                assert got.tolist() == loop_variants(parent, corrupt)
+                config = CopyChainConfig(n, r, m, int(sd))
+                assert simulate_copy_chain(config).variants.tolist() == loop_variants(*reference_forest(config))
 
     def test_variant_ids_in_order_of_first_appearance(self):
         for seed in range(10):
