@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import asdict, astuple, replace
 
 import numpy as np
@@ -136,37 +135,23 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
             _dump(args.dump, net.indptr, net.indices, b": ", summary)
         return {"run": i, **stats, "renowned_count": count, "renowned_fraction": fraction}
 
-    # Much of growth is numpy work that releases the GIL, so the calling
-    # thread and at most one helper take runs from one iterator, a whole run
-    # at a time: at most two networks are alive, whatever the CPU count.
-    # next() on a range iterator is one step under the GIL, so no run is
-    # taken twice.  Every network depends on its seed alone, so the output
-    # is that of running them in order.
-    runs: list = [None] * args.runs
-    failed: dict[int, BaseException] = {}
-    todo = iter(range(args.runs))
-
-    def work() -> None:
-        for i in todo:
-            try:
-                runs[i] = run(i)
-            except BaseException as exc:  # re-raised on the calling thread
-                failed[i] = exc
-                collections.deque(todo, maxlen=0)  # start no further run
-
-    helper = None
+    # Much of growth is numpy work that releases the GIL, so given more than
+    # one CPU the runs grow in pairs, run i on the calling thread and run
+    # i + 1 on one helper: at most two networks are alive.  The runs of one
+    # command are the same size, so pairs lose little to a work queue.
     if args.runs >= 2 and _cpus() > 1:
-        helper = threading.Thread(target=work, name="simulate-rcs")
-        helper.start()
-    try:
-        work()
-    finally:
-        if helper is not None:
-            collections.deque(todo, maxlen=0)
-            helper.join()
-    if failed:
-        # runs start in index order, so this is the error of a serial loop
-        raise failed[min(failed)]
+        # imported here: it loads logging, which no other command needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        runs = []
+        with ThreadPoolExecutor(1, thread_name_prefix="simulate-rcs") as helper:
+            for i in range(0, args.runs, 2):
+                odd = helper.submit(run, i + 1) if i + 1 < args.runs else None
+                runs.append(run(i))
+                if odd is not None:
+                    runs.append(odd.result())
+    else:
+        runs = [run(i) for i in range(args.runs)]
 
     def mean(key: str) -> float:
         return float(np.mean([r[key] for r in runs]))

@@ -7,7 +7,7 @@ known read fraction and corruption rate gives a brute-force check of the
 misprint estimator.  The estimator is consistent: it approaches the true
 read fraction as the number of citations grows, but slowly.  At the
 paper's N = 4300 (R = 0.22, M = 0.0105) it reads about 0.25 on the
-expected tally and about 0.31 averaged over single chains.
+expected tally and about 0.32 averaged over single chains.
 
 The chain is simulated in its forest form.  Citation i has a parent,
 -1 when it read the original (citation 0 always does) or a uniform index

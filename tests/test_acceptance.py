@@ -10,8 +10,8 @@ estimator actually promises there:
 - the simulated chains match the model's exact E[D] and E[T];
 - the estimator is consistent but converges slowly in N.  Applied to the
   exact expected tally it gives 0.2526 at N = 4300, 0.2382 at 43 000 and
-  0.2304 at 430 000.  The per-trial mean (about 0.31, a finite-N bias of
-  about +0.09) is higher still because D/T is a skewed ratio.
+  0.2304 at 430 000.  The per-trial mean (about 0.32, a finite-N bias of
+  about +0.10) is higher still because D/T is a skewed ratio.
 """
 
 import json

@@ -48,15 +48,24 @@ def run_strict_json(capsys, *argv):
 
 
 def test_import_does_not_load_scipy():
-    # every CLI call pays the import; scipy alone used to be most of it
+    # every CLI call pays the import; scipy alone used to be most of it.
+    # concurrent.futures (and the logging it loads) is for paired runs only,
+    # so neither the import nor a one-run command loads it
     src = str(pathlib.Path(citecopy.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, citecopy.cli; print('scipy' in sys.modules)"
+    argv = ["simulate-rcs", "--papers", "100", "--m", "2", "--p", "0.3", "--seed", "1", "--runs", "1"]
+    probe = (
+        "import contextlib, io, sys, citecopy.cli\n"
+        "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = citecopy.cli.main({argv!r})\n"
+        "print(code, 'concurrent.futures' in sys.modules)\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines() == ["[]", "0 False"]
 
 
 class TestEstimate:
@@ -240,29 +249,47 @@ class TestSimulateRcs:
         assert code == 0
         assert len(threads) == 2 and threading.get_ident() in threads
 
-    def test_failing_run_reports_the_lowest_failing_index(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("failures, slow", [
+        # run 3, on the helper, fails first while run 2 is still growing
+        ({2: MemoryError, 3: InvalidTallyError}, 2),
+        # the helper's run 1 fails while run 0 is still growing
+        ({1: InvalidTallyError}, 0),
+        # run 0 fails while the helper's run 1 is still growing
+        ({0: MemoryError}, 1),
+    ], ids=["runs-2-and-3", "run-1", "run-0"])
+    def test_failing_run_reports_the_lowest_failing_index(self, capsys, monkeypatch, failures, slow):
         seeds = [int(s) for s in trial_seeds(23, 6)]
         started = []
 
         def grow(config):
             run = seeds.index(config.seed)
             started.append(run)
-            if run == 2:
-                time.sleep(0.2)  # run 3, if it runs beside it, fails first
-                raise MemoryError("run 2")
-            if run == 3:
-                raise InvalidTallyError("run 3")
+            if run == slow:
+                time.sleep(0.2)
+            if run in failures:
+                raise failures[run](f"run {run}")
             return simulate_rcs(config)
 
         monkeypatch.setattr(cli, "simulate_rcs", grow)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         before = threading.active_count()
         code, payload = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "6")
-        assert code == 1
-        assert payload["error"] == {"type": "MemoryError", "message": "run 2"}
-        # no run starts after a failure, and the helper has been joined
-        assert max(started) <= 3
+        first = min(failures)
+        assert code == (1 if failures[first] is MemoryError else 2)
+        assert payload["error"] == {"type": failures[first].__name__, "message": f"run {first}"}
+        # no run past the failing pair starts, and the helper has been joined
+        assert max(started) <= first | 1
         assert threading.active_count() == before
+
+    def test_paired_dump_equals_the_one_run_dump(self, capsys, monkeypatch, tmp_path):
+        # run 0, the one dumped, grows on the calling thread
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        dumps = []
+        for runs in ("1", "3"):
+            dumps.append(tmp_path / f"runs{runs}.txt")
+            code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", runs, "--dump", str(dumps[-1]))
+            assert code == 0
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
 
 
 class TestOracle:
