@@ -44,7 +44,7 @@ from .rcs import RcsConfig, degree_stats, renowned_fraction, simulate_rcs
 
 EXIT_OK, EXIT_IO, EXIT_DOMAIN = 0, 1, 2
 
-# rows, and values, that `_write_rows` renders into one buffer at a time
+# values that `_write_rows` renders into one buffer at a time
 DUMP_BLOCK = 1 << 13
 
 
@@ -52,17 +52,14 @@ class UsageError(CitecopyError):
     """argv that the argument parser rejects."""
 
 
-class NotUtf8Error(Exception):
-    """An input file that is not UTF-8 text; the message names the file."""
-
-
 # The first row whose class an exception is an instance of gives its exit
-# code and reported type (None: the exception's class name).  NotUtf8Error
-# stands for a UnicodeDecodeError, a ValueError, so it precedes that row.
+# code and reported type (None: the exception's class name).  UnicodeError,
+# which `_utf8` raises for an input that is not UTF-8, is a ValueError, so
+# it precedes that row.
 ERRORS = (
     (CitecopyError, EXIT_DOMAIN, None),
     (OSError, EXIT_IO, "IOError"),
-    (NotUtf8Error, EXIT_IO, "UnicodeDecodeError"),
+    (UnicodeError, EXIT_IO, "UnicodeDecodeError"),
     (MemoryError, EXIT_IO, "MemoryError"),
     (OverflowError, EXIT_DOMAIN, "OverflowError"),
     (ValueError, EXIT_DOMAIN, "ValueError"),
@@ -98,7 +95,7 @@ def _utf8(path: str):
                     raw.read().decode("utf-8-sig")
                 except UnicodeDecodeError as whole:
                     error = whole
-            raise NotUtf8Error(f"{path}: {error}") from exc
+            raise UnicodeError(f"{path}: {error}") from exc
 
 
 def _estimate_dict(tally: MisprintTally) -> dict:
@@ -191,14 +188,14 @@ def _write_rows(fh, indptr: np.ndarray, values: np.ndarray, sep: bytes) -> None:
     """Write row i of the CSR rows (`indptr`, `values`) of nonnegative
     int64 to the binary file `fh` as one line: `i` in decimal, `sep`, the
     row's values in decimal joined by spaces, and a newline.  The text is
-    built in numpy, at most DUMP_BLOCK rows and DUMP_BLOCK values at a
-    time, so that no Python object is made per number and the working
-    memory stays bounded."""
+    built in numpy, DUMP_BLOCK values (or one longer row) at a time, so
+    that no Python object is made per number; that bounds the rows too,
+    since every row of both dumps but the RCS dump's first is nonempty."""
     a, n = 0, indptr.size - 1
     while a < n:
         lo = indptr[a]
-        b = min(a + DUMP_BLOCK, int(np.searchsorted(indptr, lo + DUMP_BLOCK, "right")) - 1)
-        b = max(b, a + 1)  # a row longer than a block is a block of its own
+        # a row longer than a block is a block of its own
+        b = max(int(np.searchsorted(indptr, lo + DUMP_BLOCK, "right")) - 1, a + 1)
         fh.write(_render_rows(np.arange(a, b), indptr[a:b + 1] - lo, values[lo:indptr[b]], sep))
         a = b
 
@@ -257,10 +254,10 @@ def cmd_tail(args: argparse.Namespace) -> dict:
 
 
 def cmd_parse(args: argparse.Namespace) -> dict:
-    fields = [f.strip() for f in args.canonical.split(",")]
-    if len(fields) != 4 or not all(fields):
+    fields = args.canonical.split(",")
+    if len(fields) != 4:
         raise InvalidTallyError("canonical must be 'journal,volume,page,year' with nonempty fields")
-    # every argument is checked before the input is read
+    # every argument is checked before the input is read; CanonicalRef checks the fields
     canonical = CanonicalRef(*fields)
     with _utf8(args.input) as fh:
         table, report = parse_records(fh)
@@ -347,6 +344,8 @@ def cmd_dist(args: argparse.Namespace) -> dict:
         raise InvalidTallyError("at most two counts files")
     require_count("bins_per_decade", args.bins_per_decade, 1)
     labels = [os.path.splitext(os.path.basename(path))[0] for path in args.counts]
+    if len(set(labels)) < len(labels):
+        raise InvalidTallyError(f"both counts files have the label {labels[0]!r}; their outputs would collide")
     counts = [_read_counts(path) for path in args.counts]
     # every curve and histogram is computed before the first file is
     # written, so that a failing command leaves no files behind
@@ -361,8 +360,6 @@ def cmd_dist(args: argparse.Namespace) -> dict:
             entry.update(hist_csv=f"{args.out_prefix}_{label}_hist.csv", zero_mass=hist.zero_mass)
             csvs.append((entry["hist_csv"], hist.points.tolist()))
         outputs.append(entry)
-    if len(set(labels)) < len(labels):
-        raise InvalidTallyError(f"both counts files have the label {labels[0]!r}; their outputs would collide")
     _write_csvs(csvs)
     payload = {"outputs": outputs}
     if len(curves) == 2:

@@ -50,5 +50,3 @@ class ArrayRecord:
             if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
                 return False
         return True
-
-    __hash__ = None

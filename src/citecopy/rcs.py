@@ -162,13 +162,12 @@ def simulate_rcs(config: RcsConfig) -> CitationNetwork:
         # a hit's pool slot: its pick's first reference plus its offset in
         # the pick's list
         copied = pool[(start[chosen] - ends + lens)[pick_of] + hits]
-        # raw lists: each pick followed by what was copied from it, so pick
-        # e and copy i land after the e picks and i copies before them
-        per_pick = np.bincount(pick_of, minlength=chosen.size)
-        raw = np.empty(chosen.size + hits.size, dtype=dtype)
-        raw[np.arange(chosen.size) + np.cumsum(per_pick) - per_pick] = chosen
+        # raw lists: each pick followed by what was copied from it; a pick's
+        # slots all start as the pick, and its copies overwrite all but one
+        row = np.repeat(np.arange(chosen.size), np.bincount(pick_of, minlength=chosen.size) + 1)
+        raw = chosen.astype(dtype)[row]
         raw[pick_of + np.arange(1, hits.size + 1)] = copied
-        row = np.repeat(np.arange(papers.size), (per_pick + 1).reshape(-1, m).sum(axis=1))
+        row //= m  # from each entry's pick to its paper
         # first occurrence of each (paper, reference), in raw order
         first = np.unique(row * n + raw, return_index=True)[1]
         first.sort()

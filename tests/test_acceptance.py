@@ -165,7 +165,8 @@ def test_criterion_08_parser_to_estimator_pipeline(capsys, data_dir):
         ["parse", "--input", str(data_dir / "kt60.csv"),
          "--canonical", canonical, "--estimate"]
     )
-    payload = json.loads(capsys.readouterr().out)
+    # strict JSON: NaN or Infinity in stdout fails the test
+    payload = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
     direct = corrected_read_fraction(MisprintTally(5, 16, 60))
     ok = (
         code == 0

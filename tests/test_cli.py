@@ -32,17 +32,12 @@ def run(capsys, *argv):
     return code, out
 
 
-def run_json(capsys, *argv):
-    code, out = run(capsys, *argv)
-    return code, json.loads(out)
-
-
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def run_strict_json(capsys, *argv):
-    """Like run_json, but NaN and Infinity in stdout fail the parse."""
+def run_json(capsys, *argv):
+    """Exit code and parsed stdout; NaN and Infinity fail the parse."""
     code, out = run(capsys, *argv)
     return code, json.loads(out, parse_constant=_reject_constant)
 
@@ -88,7 +83,7 @@ class TestEstimate:
         assert payload["corrected_r"] == 1.0
 
     def test_infinite_copy_factor_is_inf_string(self, capsys):
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "estimate", "--distinct", "5", "--total", "100",
             "--citations", "100",
         )
@@ -104,7 +99,7 @@ class TestEstimate:
         assert payload["error"]["type"] == "InsufficientStatisticsError"
 
     def test_invalid_tally(self, capsys):
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "estimate", "--distinct", "5", "--total", "3",
             "--citations", "10",
         )
@@ -147,7 +142,7 @@ class TestSimulateRcs:
         assert "error" in payload
 
     def test_negative_seed(self, capsys):
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "simulate-rcs", "--papers", "100", "--m", "3", "--p", "0.2",
             "--seed", "-1",
         )
@@ -157,7 +152,7 @@ class TestSimulateRcs:
     def test_zero_threshold_fails_before_growing(self, capsys, monkeypatch):
         grown = []
         monkeypatch.setattr(cli, "simulate_rcs", grown.append)
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "simulate-rcs", "--papers", "100", "--m", "3", "--p", "0.2",
             "--seed", "1", "--threshold", "0",
         )
@@ -197,7 +192,7 @@ class TestSimulateRcs:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            code, payload = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "5", "--threshold", "5")
+            code, payload = run_json(capsys, *self.RUNS_ARGV, "--runs", "5", "--threshold", "5")
         finally:
             sys.setswitchinterval(interval)
         assert code == 0
@@ -224,7 +219,7 @@ class TestSimulateRcs:
         threads = self.record_growth_threads(monkeypatch)
         if cpus is not None:
             monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-        code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", runs)
+        code, _ = run_json(capsys, *self.RUNS_ARGV, "--runs", runs)
         assert code == 0
         assert threads == [threading.get_ident()]
 
@@ -237,7 +232,7 @@ class TestSimulateRcs:
     def test_at_most_two_runs_are_in_flight(self, capsys, monkeypatch):
         threads = self.record_growth_threads(monkeypatch)
         monkeypatch.setattr(cli, "_cpus", lambda: 64)
-        code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "8")
+        code, _ = run_json(capsys, *self.RUNS_ARGV, "--runs", "8")
         assert code == 0
         assert threading.get_ident() in threads and len(threads) <= 2
 
@@ -245,7 +240,7 @@ class TestSimulateRcs:
         # each thread waits at its first growth for the other one
         threads = self.record_growth_threads(monkeypatch, wait_for=2)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "4")
+        code, _ = run_json(capsys, *self.RUNS_ARGV, "--runs", "4")
         assert code == 0
         assert len(threads) == 2 and threading.get_ident() in threads
 
@@ -273,7 +268,7 @@ class TestSimulateRcs:
         monkeypatch.setattr(cli, "simulate_rcs", grow)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         before = threading.active_count()
-        code, payload = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", "6")
+        code, payload = run_json(capsys, *self.RUNS_ARGV, "--runs", "6")
         first = min(failures)
         assert code == (1 if failures[first] is MemoryError else 2)
         assert payload["error"] == {"type": failures[first].__name__, "message": f"run {first}"}
@@ -287,14 +282,14 @@ class TestSimulateRcs:
         dumps = []
         for runs in ("1", "3"):
             dumps.append(tmp_path / f"runs{runs}.txt")
-            code, _ = run_strict_json(capsys, *self.RUNS_ARGV, "--runs", runs, "--dump", str(dumps[-1]))
+            code, _ = run_json(capsys, *self.RUNS_ARGV, "--runs", runs, "--dump", str(dumps[-1]))
             assert code == 0
         assert dumps[0].read_bytes() == dumps[1].read_bytes()
 
 
 class TestOracle:
     def test_negative_seed(self, capsys):
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "oracle", "--citations", "100", "--read-prob", "0.3",
             "--misprint-prob", "0.1", "--seed", "-3", "--trials", "2",
         )
@@ -409,7 +404,7 @@ class TestTail:
         assert payload["error"] == {"type": "InvalidTallyError", "message": "trials must be >= threshold"}
 
     def test_one_in_zero(self, capsys):
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "tail", "--trials", "100", "--one-in", "0", "--threshold", "5",
         )
         assert code == 2
@@ -417,7 +412,7 @@ class TestTail:
 
     def test_zero_prob_tail_is_minus_inf_string(self, capsys):
         # 1e-400 underflows to 0.0, whose upper tail is log10(0) = -inf
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "tail", "--trials", "100", "--prob", "1e-400", "--threshold", "5",
             "--population", "10",
         )
@@ -477,7 +472,7 @@ class TestParse:
     def test_non_utf8_input_is_an_io_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"p2,J\xe9.Phys.C,6,1181,1973\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "parse", "--input", str(path), "--canonical", self.CANONICAL,
         )
         assert code == 1
@@ -488,7 +483,7 @@ class TestParse:
         # past text mode's first read block
         path = tmp_path / "late.csv"
         path.write_bytes(b"p1,J.Phys.C,6,1181,1973\n" * 500 + b"\xff\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "parse", "--input", str(path), "--canonical", self.CANONICAL,
         )
         assert code == 1
@@ -580,7 +575,7 @@ class TestDist:
     def test_negative_count_names_the_first(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         a.write_text("3\n-2\n5\n-7\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", str(a), "--out-prefix", str(tmp_path / "o"),
         )
         assert code == 2
@@ -612,7 +607,7 @@ class TestDist:
     def test_count_beyond_int64_is_rejected(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         a.write_text(f"1\n{2**63}\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", str(a), "--out-prefix", str(tmp_path / "o"),
         )
         assert code == 2
@@ -622,7 +617,7 @@ class TestDist:
         good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
         good.write_text("1\n2\n")
         bad.write_bytes(b"1\n\xff2\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", str(good), str(bad),
             "--out-prefix", str(tmp_path / "o"),
         )
@@ -651,18 +646,38 @@ class TestDist:
             paths.append(str(path))
         out = tmp_path / "out"
         out.mkdir()
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", *paths, *flags, "--out-prefix", str(out / "o")
         )
         assert code == 2
         assert payload["error"] == {"type": "InvalidTallyError", "message": message}
         assert list(out.iterdir()) == []
 
+    def test_same_label_fails_before_any_file_is_read(self, capsys, monkeypatch, tmp_path):
+        # the collision depends on argv alone: a missing second file is
+        # not reported, and no file is read
+        def read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "_read_counts", read)
+        a = tmp_path / "lx" / "a.txt"
+        a.parent.mkdir()
+        a.write_text("1\n2\n")
+        code, payload = run_json(
+            capsys, "dist", "--counts", str(a), str(tmp_path / "ly" / "a.txt"),
+            "--out-prefix", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert payload["error"] == {
+            "type": "InvalidTallyError",
+            "message": "both counts files have the label 'a'; their outputs would collide",
+        }
+
     def test_bin_count_numpy_refuses_is_a_value_error(self, capsys, tmp_path):
         # about 8.1e18 bins: too many bytes for numpy to try to allocate
         a = tmp_path / "a.txt"
         a.write_text("123456789\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", str(a), "--bins-per-decade", str(10**18),
             "--out-prefix", str(tmp_path / "o"),
         )
@@ -680,7 +695,7 @@ class TestDist:
             paths.append(str(path))
         out = tmp_path / "out"
         (out / "o_b_ccdf.csv").mkdir(parents=True)
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", *paths, "--out-prefix", str(out / "o")
         )
         assert code == 1
@@ -704,7 +719,7 @@ class TestDist:
         out = tmp_path / "out"
         (out / "o_b_ccdf.csv").mkdir(parents=True)
         (out / "o_a_ccdf.csv").write_text("old\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", *paths, "--out-prefix", str(out / "o")
         )
         assert code == 1
@@ -724,7 +739,7 @@ class TestDist:
         out.mkdir()
         leftover = out / f"o_a_hist.csv.{os.getpid()}.tmp"
         leftover.write_text("left behind\n")
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", str(counts), "--out-prefix", str(out / "o")
         )
         assert code == 1
@@ -816,7 +831,7 @@ def test_counts_reader_edge_cases(capsys, tmp_path, data, expected):
         counts = cli._read_counts(str(path))
         assert counts.dtype == np.int64 and counts.tolist() == expected
     else:
-        code, payload = run_strict_json(
+        code, payload = run_json(
             capsys, "dist", "--counts", str(path), "--out-prefix", str(tmp_path / "o")
         )
         assert (code, payload["error"]) == (
@@ -897,7 +912,7 @@ class TestErrorTable:
          "citecopy tail: the following arguments are required: --threshold"),
     ])
     def test_usage_error_is_json(self, capsys, argv, message):
-        code, payload = run_strict_json(capsys, *argv)
+        code, payload = run_json(capsys, *argv)
         assert code == 2
         assert payload == {
             "manifest": NULL_MANIFEST,
@@ -917,7 +932,7 @@ class TestErrorTable:
          "--seed", "3", "--trials", "2"],
     ])
     def test_dump_to_a_directory_is_io_error(self, capsys, tmp_path, argv):
-        code, payload = run_strict_json(capsys, *argv, "--dump", str(tmp_path))
+        code, payload = run_json(capsys, *argv, "--dump", str(tmp_path))
         assert code == 1
         assert payload["error"] == {
             "type": "IOError", "message": f"[Errno 21] Is a directory: '{tmp_path}'",
@@ -947,7 +962,7 @@ class TestErrorTable:
           "--misprint-prob", "0.1", "--seed", "3", "--trials", "2"], 1, "MemoryError"),
     ])
     def test_resource_and_overflow_rows(self, capsys, argv, code, kind):
-        got, payload = run_strict_json(capsys, *argv)
+        got, payload = run_json(capsys, *argv)
         assert got == code
         assert payload["error"]["type"] == kind
         # argparse turns --one-in N into 1/N, so that overflow has no parsed argv
@@ -998,7 +1013,7 @@ def test_golden_bytes(capsys, tmp_path, monkeypatch, data_dir, name, argv, code)
      ["citations", "read_prob", "misprint_prob", "trials", "dump"]),
 ])
 def test_manifest_parameters_follow_the_parser(capsys, argv, keys):
-    code, payload = run_strict_json(capsys, *argv)
+    code, payload = run_json(capsys, *argv)
     assert code == 0
     assert list(payload["manifest"]["parameters"]) == keys
     assert payload["manifest"]["seed"] == 4
