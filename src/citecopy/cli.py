@@ -12,8 +12,8 @@ raises on error, which `main` reports under "error" as {"type",
 
     exit 2  a CitecopyError, typed by its class name; UsageError (argv
             that argparse rejects; the manifest's subcommand is null);
-            OverflowError; ValueError (a bad counts file, or an array
-            size past numpy's limits)
+            OverflowError; ValueError (a bad counts file, a path that
+            cannot be encoded, or an array size past numpy's limits)
     exit 1  IOError; UnicodeDecodeError (an input file that is not
             UTF-8); MemoryError
 
@@ -53,13 +53,12 @@ class UsageError(CitecopyError):
 
 
 # The first row whose class an exception is an instance of gives its exit
-# code and reported type (None: the exception's class name).  UnicodeError,
-# which `_utf8` raises for an input that is not UTF-8, is a ValueError, so
-# it precedes that row.
+# code and reported type (None: the exception's class name).  A
+# UnicodeDecodeError is a ValueError, so it precedes that row.
 ERRORS = (
     (CitecopyError, EXIT_DOMAIN, None),
     (OSError, EXIT_IO, "IOError"),
-    (UnicodeError, EXIT_IO, "UnicodeDecodeError"),
+    (UnicodeDecodeError, EXIT_IO, None),
     (MemoryError, EXIT_IO, "MemoryError"),
     (OverflowError, EXIT_DOMAIN, "OverflowError"),
     (ValueError, EXIT_DOMAIN, "ValueError"),
@@ -95,7 +94,9 @@ def _utf8(path: str):
                     raw.read().decode("utf-8-sig")
                 except UnicodeDecodeError as whole:
                     error = whole
-            raise UnicodeError(f"{path}: {error}") from exc
+            raise UnicodeDecodeError(
+                error.encoding, error.object, error.start, error.end, f"{error.reason} in {path}"
+            ) from exc
 
 
 def _estimate_dict(tally: MisprintTally) -> dict:
@@ -293,18 +294,17 @@ def _read_counts(path: str) -> np.ndarray:
         # text mode has made every line break "\n"; splitlines() would also
         # break at characters such as "\x0c" and "\x85" that end no line
         tally = collections.Counter(fh.read().split("\n"))
-    texts = [line.strip() for line in tally]
-    kept = np.array([text != "" and text[0] != "#" for text in texts], dtype=bool)
+    kept = [(text, n) for line, n in tally.items() if (text := line.strip()) and text[0] != "#"]
     try:
         # int() on each kept distinct line, in C
-        values = np.array([text for text, keep in zip(texts, kept) if keep], dtype=np.int64)
+        values = np.array([text for text, _ in kept], dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
     except ValueError as exc:
         raise ValueError(f"bad counts file: {exc}") from exc
     if (values < 0).any():
         raise ValueError(f"bad counts file: negative count {values[values < 0][0]} in {path}")
-    return values.repeat(np.array(list(tally.values()))[kept])
+    return values.repeat([n for _, n in kept])
 
 
 def _write_csvs(csvs: list) -> None:

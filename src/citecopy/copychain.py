@@ -74,7 +74,7 @@ def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     always sources the original.  Variant ids are 1..D in order of first
     appearance.
     """
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    rng = np.random.default_rng(config.seed)
     n = config.n_citations
     reads, picks, corrupts = rng.random((3, n))
     # slot n stands for the original: -1 indexes it, and it points at

@@ -132,7 +132,7 @@ def simulate_rcs(config: RcsConfig) -> CitationNetwork:
     probability p; duplicates in the combined list are dropped, keeping
     first occurrence.
     """
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    rng = np.random.default_rng(config.seed)
     n, m, p = config.n_papers, config.m, config.p
     picks = _draw_picks(rng, n, m)
     depth = _depths(picks, m)
@@ -209,9 +209,8 @@ class DegreeStats:
 
 def degree_stats(network: CitationNetwork) -> DegreeStats:
     """In-degree summary of a network."""
-    deg = network.in_degree
     return DegreeStats(
         total_edges=network.total_edges,
-        mean_in_degree=float(deg.mean()),
-        max_in_degree=int(deg.max()),
+        mean_in_degree=network.total_edges / network.n_papers,
+        max_in_degree=int(network.in_degree.max()),
     )

@@ -63,6 +63,21 @@ def test_import_does_not_load_scipy():
     assert result.stdout.splitlines() == ["[]", "0 False"]
 
 
+@pytest.mark.parametrize("distinct, code", [(45, 0), (450, 2)])
+def test_module_entry_point_exits_with_the_code_of_main(distinct, code):
+    # the from-checkout command: `sys.exit(main())` passes the code through
+    src = str(pathlib.Path(citecopy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["estimate", "--distinct", str(distinct), "--total", "196", "--citations", "4300"]
+    result = subprocess.run(
+        [sys.executable, "-m", "citecopy.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == code, result.stderr
+    payload = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert payload["manifest"]["subcommand"] == "estimate"
+    assert ("error" in payload) == (code != 0)
+
+
 class TestEstimate:
     def test_golden_numbers(self, capsys):
         code, payload = run_json(
@@ -634,8 +649,9 @@ class TestDist:
             (["a.txt", "empty.txt"], [], "empty sample"),
             # both would write o_a_ccdf.csv and o_a_hist.csv
             (["x/a.txt", "y/a.txt"], [], "both counts files have the label 'a'; their outputs would collide"),
+            (["a.txt", "b.txt", "c.txt"], [], "at most two counts files"),
         ],
-        ids=["no-bins", "no-bins-no-positive-count", "empty-second-file", "same-label"],
+        ids=["no-bins", "no-bins-no-positive-count", "empty-second-file", "same-label", "three-files"],
     )
     def test_failure_leaves_no_files(self, capsys, tmp_path, inputs, flags, message):
         paths = []
@@ -782,7 +798,7 @@ class TestDist:
 
 
 INVALID_LITERAL = "bad counts file: invalid literal for int() with base 10: "
-BAD_UTF8 = "{path}: 'utf-8' codec can't decode byte 0xff in position "
+BAD_UTF8 = "'utf-8' codec can't decode byte 0xff in position "
 
 # counts files and what `dist` makes of them: (bytes, the counts) or
 # (bytes, (exit code, error type, message with the file at {path}))
@@ -816,10 +832,10 @@ COUNTS_EDGE_CASES = {
     # repeated lines are converted once, in order of first appearance
     "repeated-malformed-after-beyond-int64": (b"5\nx\n%d\nx\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x'")),
     "repeated-beyond-int64-then-malformed": (b"%d\n5\nx\n%d\n" % (2**64, 2**64), (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
-    "not-utf8": (b"1\n\xff2\n", (1, "UnicodeDecodeError", BAD_UTF8 + "2: invalid start byte")),
-    "not-utf8-in-comment": (b"#\xff\n1\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1: invalid start byte")),
+    "not-utf8": (b"1\n\xff2\n", (1, "UnicodeDecodeError", BAD_UTF8 + "2: invalid start byte in {path}")),
+    "not-utf8-in-comment": (b"#\xff\n1\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1: invalid start byte in {path}")),
     # the position is the bad byte's offset in the file
-    "not-utf8-past-8k": (b"1\n" * 5000 + b"\xff\n", (1, "UnicodeDecodeError", BAD_UTF8 + "10000: invalid start byte")),
+    "not-utf8-past-8k": (b"1\n" * 5000 + b"\xff\n", (1, "UnicodeDecodeError", BAD_UTF8 + "10000: invalid start byte in {path}")),
 }
 
 
@@ -937,6 +953,20 @@ class TestErrorTable:
         assert payload["error"] == {
             "type": "IOError", "message": f"[Errno 21] Is a directory: '{tmp_path}'",
         }
+
+    # a lone surrogate has no UTF-8 form, so `open` raises UnicodeEncodeError
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--counts", "\ud800"],
+        ["parse", "--input", "\ud800", "--canonical", "J.Phys.C,6,1181,1973"],
+        ["simulate-rcs", "--papers", "50", "--m", "2", "--p", "0.2", "--seed", "1", "--dump", "\ud800"],
+        ["dist", "--counts", "a.txt", "--out-prefix", "\ud800"],
+    ], ids=["dist-counts", "parse-input", "simulate-rcs-dump", "dist-out-prefix"])
+    def test_path_that_cannot_be_encoded_is_a_value_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.txt").write_text("1\n2\n")
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload["error"]["type"]) == (2, "ValueError")
+        assert list(tmp_path.iterdir()) == [tmp_path / "a.txt"]
 
     BIG = str(10**30)
 

@@ -24,7 +24,7 @@ def reference_forest(config):
     """Reference: parents and corruption flags of a chain, citation by
     citation from the chain's own (3, N) block of PCG64 uniforms (read or
     copy, which earlier citation, corrupted)."""
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    rng = np.random.default_rng(config.seed)
     reads, picks, corrupts = rng.random((3, config.n_citations)).tolist()
     parent = [
         -1 if i == 0 or u < config.read_prob else math.floor(v * i)
