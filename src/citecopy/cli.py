@@ -301,7 +301,7 @@ def _read_counts(path: str) -> np.ndarray:
     except OverflowError as exc:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
     except ValueError as exc:
-        raise ValueError(f"bad counts file: {exc}") from exc
+        raise ValueError(f"bad counts file: {exc} in {path}") from exc
     if (values < 0).any():
         raise ValueError(f"bad counts file: negative count {values[values < 0][0]} in {path}")
     return values.repeat([n for _, n in kept])

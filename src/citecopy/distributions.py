@@ -122,7 +122,7 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     points = np.empty(n_bins, [("center", np.float64), ("density", np.float64)])
     points["center"] = np.sqrt(edges[:-1] * edges[1:])
     points["density"] = hist / (np.diff(edges) * n_total)
-    return LogBinnedHistogram(points, edges, float((counts == 0).sum() / n_total))
+    return LogBinnedHistogram(points, edges, (n_total - positive.size) / n_total)
 
 
 def ks_distance(a: CcdfCurve, b: CcdfCurve) -> float:

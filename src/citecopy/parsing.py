@@ -16,9 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .errors import ArrayRecord, InvalidTallyError, require_count
+from .errors import InvalidTallyError, require_count
 from .estimator import MisprintTally
 
 _WS = re.compile(r"\s+")
@@ -63,15 +61,15 @@ class CanonicalRef:
         return normalize_tuple(self.journal, self.volume, self.page, self.year)
 
 
-@dataclass(frozen=True, eq=False)
-class CitationTable(ArrayRecord):
+@dataclass(frozen=True)
+class CitationTable:
     """Kept citation records as a table of their distinct renderings:
     record i, cited by `source_ids[i]`, renders the reference as
     `renderings[rendering[i]]`, its stripped (journal, volume, page, year).
     `renderings` has no duplicates and is in order of first appearance."""
 
     source_ids: list[str]
-    rendering: np.ndarray
+    rendering: list[int]
     renderings: list[tuple[str, str, str, str]]
 
     def __len__(self) -> int:
@@ -83,8 +81,11 @@ class MisprintClass:
     """A cluster of identical erroneous renderings."""
 
     variant: tuple[str, str, str, str]
-    multiplicity: int
     members: tuple[str, ...]
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def parse_records(lines: Iterable[str]) -> tuple[CitationTable, ParseReport]:
             found = tails[tail] = index.setdefault(fields, len(index))
         source_ids.append(source_id)
         rendering.append(found)
-    table = CitationTable(source_ids, np.array(rendering, dtype=np.intp), list(index))
+    table = CitationTable(source_ids, rendering, list(index))
     return table, ParseReport(rejected=tuple(rejected))
 
 
@@ -142,28 +143,20 @@ def classify(table: CitationTable, canonical: CanonicalRef) -> tuple[MisprintTal
 
     Each distinct field text is normalized once per column (the page
     column normalizes differently, so no memo spans two columns); records
-    are grouped by their rendering's class in numpy."""
+    are grouped in one pass through their rendering's class."""
     target = canonical.normalized()
     normalized = [map({text: norm(text) for text in set(column)}.__getitem__, column)
                   for column, norm in zip(zip(*table.renderings), _NORMS)]
-    variants: dict[tuple[str, str, str, str], int] = {}
-    # class of each rendering, numbered in order of rendering index; the
-    # canonical class is -1
-    of_rendering = np.empty(len(table.renderings), dtype=np.intp)
-    for i, t in enumerate(zip(*normalized)):
-        of_rendering[i] = -1 if t == target else variants.setdefault(t, len(variants))
-    of_record = of_rendering[table.rendering]
-    sizes = np.bincount(of_record + 1, minlength=len(variants) + 1).tolist()
-    # the canonical records sort first, then each class's in record order
-    order = np.argsort(of_record, kind="stable")[sizes[0] :].tolist()
-    ids = table.source_ids
-    classes = []
-    start = 0
-    for variant, size in zip(variants, sizes[1:]):
-        members = tuple([ids[j] for j in order[start : start + size]])
-        classes.append(MisprintClass(variant=variant, multiplicity=size, members=members))
-        start += size
-    tally = MisprintTally(distinct=len(classes), total=len(order), citations=len(table))
+    # members of each erroneous variant, in order of first appearance
+    variants: dict[tuple[str, str, str, str], list[str]] = {}
+    # the member list of each rendering's class; None for the canonical class
+    of_rendering = [None if t == target else variants.setdefault(t, []) for t in zip(*normalized)]
+    for source_id, i in zip(table.source_ids, table.rendering):
+        members = of_rendering[i]
+        if members is not None:
+            members.append(source_id)
+    classes = [MisprintClass(variant, tuple(members)) for variant, members in variants.items()]
+    tally = MisprintTally(distinct=len(classes), total=sum(c.multiplicity for c in classes), citations=len(table))
     return tally, classes
 
 

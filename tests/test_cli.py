@@ -640,6 +640,19 @@ class TestDist:
         assert payload["error"]["type"] == "UnicodeDecodeError"
         assert str(bad) in payload["error"]["message"]
 
+    def test_malformed_second_counts_file_is_named(self, capsys, tmp_path):
+        good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+        good.write_text("1\n2\n")
+        bad.write_text("1\nx\n")
+        code, payload = run_json(
+            capsys, "dist", "--counts", str(good), str(bad),
+            "--out-prefix", str(tmp_path / "o"),
+        )
+        assert (code, payload["error"]) == (2, {
+            "type": "ValueError",
+            "message": f"bad counts file: invalid literal for int() with base 10: 'x' in {bad}",
+        })
+
     @pytest.mark.parametrize(
         "inputs, flags, message",
         [
@@ -817,20 +830,20 @@ COUNTS_EDGE_CASES = {
     "crlf-with-blank-lines": (b"5\r\n\r\n6\r\n", [5, 6]),
     "last-line-blank-no-newline": (b"5\n  ", [5]),
     "last-line-comment-no-newline": (b"5\n#end", [5]),
-    "two-on-a-line": (b"1 2\n", (2, "ValueError", INVALID_LITERAL + "'1 2'")),
-    "trailing-comment": (b"5 # x\n", (2, "ValueError", INVALID_LITERAL + "'5 # x'")),
+    "two-on-a-line": (b"1 2\n", (2, "ValueError", INVALID_LITERAL + "'1 2' in {path}")),
+    "trailing-comment": (b"5 # x\n", (2, "ValueError", INVALID_LITERAL + "'5 # x' in {path}")),
     "bom": (b"\xef\xbb\xbf5\n", [5]),
     "bom-then-comment": (b"\xef\xbb\xbf# h\n5\n", [5]),
     # only "\n", "\r" and "\r\n" end a line; str.splitlines() breaks at more
-    "nel-inside-a-line": ("5\x856\n".encode(), (2, "ValueError", INVALID_LITERAL + "'5\\x856'")),
-    "line-separator-inside-a-line": ("5\u20286\n".encode(), (2, "ValueError", INVALID_LITERAL + "'5\\u20286'")),
+    "nel-inside-a-line": ("5\x856\n".encode(), (2, "ValueError", INVALID_LITERAL + "'5\\x856' in {path}")),
+    "line-separator-inside-a-line": ("5\u20286\n".encode(), (2, "ValueError", INVALID_LITERAL + "'5\\u20286' in {path}")),
     "negative": (b"3\n-1\n", (2, "ValueError", "bad counts file: negative count -1 in {path}")),
     "beyond-int64": (b"%d\n" % 2**64, (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
     # the first line that fails is reported
     "beyond-int64-then-malformed": (b"%d\nx\n" % 2**64, (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
-    "malformed-then-beyond-int64": (b"x\n%d\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x'")),
+    "malformed-then-beyond-int64": (b"x\n%d\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x' in {path}")),
     # repeated lines are converted once, in order of first appearance
-    "repeated-malformed-after-beyond-int64": (b"5\nx\n%d\nx\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x'")),
+    "repeated-malformed-after-beyond-int64": (b"5\nx\n%d\nx\n" % 2**64, (2, "ValueError", INVALID_LITERAL + "'x' in {path}")),
     "repeated-beyond-int64-then-malformed": (b"%d\n5\nx\n%d\n" % (2**64, 2**64), (2, "ValueError", "bad counts file: count beyond the int64 range in {path}")),
     "not-utf8": (b"1\n\xff2\n", (1, "UnicodeDecodeError", BAD_UTF8 + "2: invalid start byte in {path}")),
     "not-utf8-in-comment": (b"#\xff\n1\n", (1, "UnicodeDecodeError", BAD_UTF8 + "1: invalid start byte in {path}")),
@@ -873,7 +886,7 @@ def read_counts_per_line(path):
     except OverflowError as exc:
         raise ValueError(f"bad counts file: count beyond the int64 range in {path}") from exc
     except ValueError as exc:
-        raise ValueError(f"bad counts file: {exc}") from exc
+        raise ValueError(f"bad counts file: {exc} in {path}") from exc
     negative = counts[counts < 0]
     if negative.size:
         raise ValueError(f"bad counts file: negative count {negative[0]} in {path}")

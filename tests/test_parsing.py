@@ -64,14 +64,14 @@ def reference_parse(lines):
 
 def rows(table):
     """The table's records as (source_id, journal, volume, page, year) rows."""
-    return [(sid, *table.renderings[i]) for sid, i in zip(table.source_ids, table.rendering.tolist())]
+    return [(sid, *table.renderings[i]) for sid, i in zip(table.source_ids, table.rendering)]
 
 
 def make_table(records):
     """The CitationTable of (source_id, journal, volume, page, year) rows."""
     renderings = list(dict.fromkeys(r[1:] for r in records))
     index = {r: i for i, r in enumerate(renderings)}
-    rendering = np.array([index[r[1:]] for r in records], dtype=np.intp)
+    rendering = [index[r[1:]] for r in records]
     return CitationTable([r[0] for r in records], rendering, renderings)
 
 
@@ -111,7 +111,7 @@ class TestParseRecords:
     def test_single_line(self):
         table, report = parse_records(["p1,J.Phys.C,6,1181,1973"])
         assert table == make_table([("p1", "J.Phys.C", "6", "1181", "1973")])
-        assert table.rendering.dtype == np.intp
+        assert type(table.rendering) is list and all(type(i) is int for i in table.rendering)
         assert report.rejected == ()
 
     def test_wrong_field_count(self):
@@ -152,7 +152,7 @@ class TestParseRecords:
             "p4, J.Phys.C ,6,1181,1973",
         ])
         assert table.renderings == [("J.Phys.C", "6", "1181", "1973"), ("J.Phys.C", "6", "1181-1203", "1973")]
-        assert table.rendering.tolist() == [0, 0, 1, 0]
+        assert table.rendering == [0, 0, 1, 0]
         assert table.source_ids == ["p1", "p2", "p3", "p4"]
 
     @given(
@@ -168,7 +168,7 @@ class TestParseRecords:
         assert rows(table) == records
         assert report == expected_report
         # every rendering is used, and they come in order of first appearance
-        assert list(dict.fromkeys(table.rendering.tolist())) == list(range(len(table.renderings)))
+        assert list(dict.fromkeys(table.rendering)) == list(range(len(table.renderings)))
         assert len(set(table.renderings)) == len(table.renderings)
         assert [(c.variant, c.members) for c in classes] == expected
         assert all(c.multiplicity == len(c.members) for c in classes)
