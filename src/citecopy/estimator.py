@@ -59,27 +59,21 @@ def corrected_read_fraction(tally: MisprintTally) -> ReaderEstimate:
     misprint.  The copy factor n_c = (T - D)/(D - MT) solves
         n_c = n_p + n_p * (M / (1 - M)) * (1 + n_c),
     and the corrected read fraction (D/T) * (N - T)/(N - D) equals
-    1/(1 + n_c): misprinted citations over-represent copiers.
+    1/(1 + n_c): misprinted citations over-represent copiers.  Each field
+    is one correctly rounded quotient of Python integers, whose products,
+    unlike numpy int64 ones, cannot overflow.
 
     When T = N every citation is misprinted: the copy factor diverges and
     the corrected fraction is 0 (the continuous limit of the formula).
     """
-    d, t, n = tally.distinct, tally.total, tally.citations
+    d, t, n = int(tally.distinct), int(tally.total), int(tally.citations)
     if t == 0:
         raise InsufficientStatisticsError("no misprints observed")
     # past it D, T and N are all positive
-    naive = d / t
-    m = d / n
-    if t == n:
-        n_c = math.inf
-        corrected = 0.0
-    else:
-        corrected = naive * (n - t) / (n - d)
-        n_c = (t - d) / (d - m * t)  # positive denominator whenever t < n
     return ReaderEstimate(
-        naive_r=naive,
-        corrected_r=corrected,
+        naive_r=d / t,
+        corrected_r=d * (n - t) / (t * (n - d)) if t < n else 0.0,
         propagation_factor=(t - d) / d,
-        copy_factor=n_c,
-        misprint_prob=m,
+        copy_factor=(t - d) * n / (d * (n - t)) if t < n else math.inf,
+        misprint_prob=d / n,
     )

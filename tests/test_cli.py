@@ -12,6 +12,7 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ class TestEstimate:
         assert payload["error"] == {"type": "InvalidTallyError", "message": "total must be >= distinct"}
         parameters = payload["manifest"]["parameters"]
         assert (parameters["distinct"], parameters["total"], parameters["citations"]) == (5, 3, 10)
+
+    @pytest.mark.parametrize("d, t, n, n_c, corrected", [
+        # T = N - 1 with N past 2**62: a float D - MT or an int64 product is far off
+        (2**61, 2**62, 2**62 + 1, 4.611686018427388e+18, 2.168404344971009e-19),
+        # far past the float range, though every field fits in one
+        (int("1" * 400), int("2" * 400), int("3" * 400), 3.0, 0.25),
+    ], ids=["past-2**53", "past-float-range"])
+    def test_huge_tally_is_answered_exactly(self, capsys, d, t, n, n_c, corrected):
+        code, payload = run_json(
+            capsys, "estimate", "--distinct", str(d), "--total", str(t), "--citations", str(n),
+        )
+        assert code == 0
+        assert (payload["n_c"], payload["corrected_r"]) == (n_c, corrected)
+        assert (n_c, corrected) == (float(Fraction((t - d) * n, d * (n - t))), float(Fraction(d * (n - t), t * (n - d))))
 
 
 class TestSimulateRcs:
@@ -984,8 +999,9 @@ class TestErrorTable:
     BIG = str(10**30)
 
     @pytest.mark.parametrize("argv, code, kind", [
-        (["estimate", "--distinct", "1" * 400, "--total", "2" * 400,
-          "--citations", "3" * 400], 2, "OverflowError"),
+        # a copy factor of about 1e800, past the float range
+        (["estimate", "--distinct", "1", "--total", str(10**400),
+          "--citations", str(10**400 + 1)], 2, "OverflowError"),
         (["tail", "--trials", "10", "--prob", "0.5", "--threshold", "3",
           "--population", str(10**400)], 2, "OverflowError"),
         (["tail", "--trials", "10", "--one-in", str(10**400), "--threshold", "3"],

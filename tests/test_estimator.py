@@ -1,5 +1,8 @@
 import math
+from dataclasses import astuple
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,22 +113,38 @@ class TestCorrectedReadFraction:
             corrected_read_fraction(MisprintTally(0, 0, 100))
 
 
+def wide_tallies():
+    # N up to the int64 limit, T often within 3 of N, as Python or numpy ints
+    triples = st.integers(1, 2**63 - 1).flatmap(
+        lambda n: st.one_of(st.integers(max(1, n - 3), n), st.integers(1, n)).flatmap(
+            lambda t: st.integers(1, t).map(lambda d: (d, t, n))
+        )
+    )
+    kinds = st.sampled_from([int, np.int64])
+    return st.builds(lambda dtn, kind: MisprintTally(*map(kind, dtn)), triples, kinds)
+
+
 class TestProperties:
     @given(st.one_of(
         valid_tallies(),
         valid_tallies().map(lambda x: MisprintTally(x.distinct, x.total, x.total)),
+        wide_tallies(),
     ))
     def test_fields_are_bit_exact(self, tally):
-        # each field is its closed form to the last bit, not just close;
-        # the T = N tallies are where the copy factor diverges
-        d, t, n = tally.distinct, tally.total, tally.citations
+        # each field is its docstring definition solved exactly and rounded
+        # once; the T = N tallies are where the copy factor diverges
+        d, t, n = int(tally.distinct), int(tally.total), int(tally.citations)
+        m, n_p = Fraction(d, n), Fraction(t - d, d)
         if t == n:
             n_c, corrected = math.inf, 0.0
         else:
-            n_c, corrected = (t - d) / (d - (d / n) * t), (d / t) * (n - t) / (n - d)
-        est = corrected_read_fraction(tally)
-        assert (est.naive_r, est.propagation_factor, est.misprint_prob) == (d / t, (t - d) / d, d / n)
-        assert (est.copy_factor, est.corrected_r) == (n_c, corrected)
+            # n_c = n_p + n_p * k * (1 + n_c) with k = M / (1 - M)
+            k = m / (1 - m)
+            exact = n_p * (1 + k) / (1 - n_p * k)
+            n_c, corrected = float(exact), float(1 / (1 + exact))
+        fields = astuple(corrected_read_fraction(tally))
+        assert fields == (float(Fraction(d, t)), corrected, float(n_p), n_c, float(m))
+        assert all(type(field) is float for field in fields)
 
     @given(valid_tallies())
     def test_two_correction_forms_agree(self, tally):
