@@ -124,7 +124,7 @@ def cmd_simulate_rcs(args: argparse.Namespace) -> dict:
 
     def run(i: int) -> dict:
         """Row of run i; its network is freed on return."""
-        net = simulate_rcs(replace(config, seed=int(seeds[i])))
+        net = simulate_rcs(replace(config, seed=seeds[i]))
         count, fraction = renowned_fraction(net, args.threshold)
         stats = asdict(degree_stats(net))
         if i == 0 and args.dump:
@@ -170,7 +170,7 @@ def cmd_oracle(args: argparse.Namespace) -> dict:
     summary = estimator_roundtrip(config, args.trials)
     if args.dump:
         # trial 0 of the round trip, run again for its variants
-        first = simulate_copy_chain(replace(config, seed=int(trial_seeds(args.seed, 1)[0])))
+        first = simulate_copy_chain(replace(config, seed=trial_seeds(args.seed, 1)[0]))
         rows = np.arange(first.variants.size + 1)
         _dump(args.dump, rows, first.variants, b",", dict(zip("DTN", astuple(first.tally))))
     # every field but the pooled tally, in field order

@@ -47,12 +47,12 @@ class CopyChainConfig:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, and so every check
-        require_count("n_citations", self.n_citations, 1)
+        object.__setattr__(self, "n_citations", require_count("n_citations", self.n_citations, 1))
         if not 0.0 <= self.read_prob <= 1.0:
             raise InvalidTallyError("read_prob must be in [0, 1]")
         if not 0.0 <= self.misprint_prob < 1.0:
             raise InvalidTallyError("misprint_prob must be in [0, 1)")
-        require_count("seed", self.seed, 0)
+        object.__setattr__(self, "seed", require_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,7 @@ def simulate_copy_chain(config: CopyChainConfig) -> CopyChainOutcome:
     ordinal = np.zeros(n + 1, dtype=np.intp)
     ordinal[hits] = np.arange(1, hits.size + 1)
     variants = ordinal[ptr[:n]]
-    return CopyChainOutcome(variants, MisprintTally(hits.size, int(np.count_nonzero(variants)), n))
+    return CopyChainOutcome(variants, MisprintTally(hits.size, np.count_nonzero(variants), n))
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ class RoundtripSummary:
 def trial_seeds(seed: int, trials: int) -> np.ndarray:
     """One 64-bit seed per trial, from the base seed alone, shared by the
     library and the CLI; for j <= k, `trial_seeds(s, k)[:j]` is `trial_seeds(s, j)`."""
-    require_count("seed", seed, 0)
-    require_count("trials", trials, 0)
+    seed = require_count("seed", seed, 0)
+    trials = require_count("trials", trials, 0)
     ss = np.random.SeedSequence(seed)
     return ss.generate_state(trials, dtype=np.uint64)
 
@@ -130,9 +130,9 @@ def trial_seeds(seed: int, trials: int) -> np.ndarray:
 def estimator_roundtrip(config: CopyChainConfig, trials: int) -> RoundtripSummary:
     """Run `trials` independent chains and apply both estimators to each
     outcome that produced at least one misprint."""
-    require_count("trials", trials, 1)
+    trials = require_count("trials", trials, 1)
     seeds = trial_seeds(config.seed, trials)
-    tallies = [simulate_copy_chain(replace(config, seed=int(s))).tally for s in seeds]
+    tallies = [simulate_copy_chain(replace(config, seed=s)).tally for s in seeds]
     estimates = [corrected_read_fraction(t) for t in tallies if t.total]
     if not estimates:
         raise InsufficientStatisticsError("every trial produced zero misprints")

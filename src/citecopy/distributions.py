@@ -93,14 +93,11 @@ def _bin_count(max_count: int, bins_per_decade: int) -> int:
     is above `max_count`: what `n = 1; while 10.0 ** (n / bins_per_decade)
     <= max_count: n += 1` returns, without a step per bin.  That float test
     turns once as n rises and holds at n = 20 * bins_per_decade, since
-    10.0 ** 20 is above every int64, so the turn is bisected in [0, 20 * b].
-    A numpy integer is made a Python int first: 20 * b could overflow, and
-    numpy division and comparison round where Python's do not."""
-    b = int(bins_per_decade)
-    lo, hi = 0, 20 * b
+    10.0 ** 20 is above every int64, so the turn is bisected in [0, 20 * bins_per_decade]."""
+    lo, hi = 0, 20 * bins_per_decade
     while hi - lo > 1:  # the test holds at hi and fails at lo > 0
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if 10.0 ** (mid / b) > max_count else (mid, hi)
+        lo, hi = (lo, mid) if 10.0 ** (mid / bins_per_decade) > max_count else (mid, hi)
     return hi
 
 
@@ -109,7 +106,7 @@ def log_bin_histogram(sample: CountSample, bins_per_decade: int) -> LogBinnedHis
     covering [1, max count].  Density is count-in-bin divided by bin
     width and total sample size, so sum(density * width) equals the
     positive-count fraction."""
-    require_count("bins_per_decade", bins_per_decade, 1)
+    bins_per_decade = require_count("bins_per_decade", bins_per_decade, 1)
     counts = sample.counts
     positive = counts[counts > 0]
     if positive.size == 0:

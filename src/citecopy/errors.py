@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the package, and the two rules that
-the modules share: `require_count`, the check of every scalar count field,
-and `ArrayRecord`, the equality of every record that holds numpy arrays."""
+"""Exception hierarchy, and the two rules the modules share: `require_count`,
+the check of every scalar count, which keeps a numpy integer of any width as
+a Python int, and `ArrayRecord`, the equality of records with numpy arrays."""
 
 from __future__ import annotations
 
@@ -24,15 +24,17 @@ class InsufficientStatisticsError(CitecopyError):
     """No misprints observed; the estimator has no signal."""
 
 
-def require_count(name: str, value, low, low_text: str | None = None) -> None:
-    """Raise InvalidTallyError unless `value` is an integer >= `low`
-    (numpy integers included); every scalar count field goes through
-    it.  The bound is checked first, as `not value >= low`, so NaN fails
-    it; its message names the bound as `low_text`, if given."""
+def require_count(name: str, value, low, low_text: str | None = None) -> int:
+    """`value` as a Python int, or InvalidTallyError unless it is an
+    integer >= `low`; every scalar count field goes through it, and a
+    numpy integer of any width is accepted and returned as an int.  The
+    bound is checked first, as `not value >= low`, so NaN fails it; its
+    message names the bound as `low_text`, if given."""
     if not value >= low:
         raise InvalidTallyError(f"{name} must be >= {low_text or low}")
     if not isinstance(value, Integral):
         raise InvalidTallyError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class ArrayRecord:

@@ -28,15 +28,16 @@ class MisprintTally:
     citations: int
 
     def __post_init__(self) -> None:
-        d, t, n = self.distinct, self.total, self.citations
-        require_count("distinct", d, 0)
-        require_count("total", t, d, "distinct")
-        require_count("citations", n, t, "total")
+        d = require_count("distinct", self.distinct, 0)
+        t = require_count("total", self.total, d, "distinct")
+        n = require_count("citations", self.citations, t, "total")
         if (d == 0) != (t == 0):
             raise InvalidTallyError(
                 f"distinct and total must be zero together, got "
                 f"distinct={d}, total={t}"
             )
+        for name, value in zip(("distinct", "total", "citations"), (d, t, n)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def corrected_read_fraction(tally: MisprintTally) -> ReaderEstimate:
     When T = N every citation is misprinted: the copy factor diverges and
     the corrected fraction is 0 (the continuous limit of the formula).
     """
-    d, t, n = int(tally.distinct), int(tally.total), int(tally.citations)
+    d, t, n = tally.distinct, tally.total, tally.citations
     if t == 0:
         raise InsufficientStatisticsError("no misprints observed")
     # past it D, T and N are all positive

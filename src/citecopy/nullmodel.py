@@ -27,8 +27,8 @@ class BinomialTailQuery:
     threshold: int
 
     def __post_init__(self) -> None:
-        require_count("threshold", self.threshold, 0)
-        require_count("trials", self.trials, self.threshold, "threshold")
+        object.__setattr__(self, "threshold", require_count("threshold", self.threshold, 0))
+        object.__setattr__(self, "trials", require_count("trials", self.trials, self.threshold, "threshold"))
         if not 0.0 <= self.success_prob <= 1.0:
             raise InvalidTallyError("success_prob must be in [0, 1]")
 
@@ -84,14 +84,14 @@ def streak_probability(win_prob: float, streak: int) -> float:
     """Probability of winning `streak` independent events in a row."""
     if not 0.0 <= win_prob <= 1.0:
         raise InvalidTallyError("win_prob must be in [0, 1]")
-    require_count("streak", streak, 0)
+    streak = require_count("streak", streak, 0)
     return win_prob**streak
 
 
 def expected_count(population: int, per_item_prob_log10: float) -> float:
     """Expected hits, population * 10**per_item_prob_log10, for a per-item
     log10 probability in its domain: <= 0, -inf included, NaN not."""
-    require_count("population", population, 0)
+    population = require_count("population", population, 0)
     if not per_item_prob_log10 <= 0.0:
         raise InvalidTallyError("per_item_prob_log10 must be <= 0")
     return population * 10.0**per_item_prob_log10

@@ -162,6 +162,6 @@ def classify(table: CitationTable, canonical: CanonicalRef) -> tuple[MisprintTal
 
 def top_misprints(classes: list[MisprintClass], k: int) -> list[MisprintClass]:
     """The k largest classes, ties broken by first appearance order."""
-    require_count("k", k, 0)
+    k = require_count("k", k, 0)
     # sorted is stable, so equal multiplicities keep their order
     return sorted(classes, key=lambda c: -c.multiplicity)[:k]

@@ -48,11 +48,11 @@ class RcsConfig:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, and so every check
-        require_count("m", self.m, 1)
-        require_count("n_papers", self.n_papers, self.m + 1, "m + 1")
+        object.__setattr__(self, "m", require_count("m", self.m, 1))
+        object.__setattr__(self, "n_papers", require_count("n_papers", self.n_papers, self.m + 1, "m + 1"))
         if not 0.0 <= self.p <= 1.0:
             raise InvalidTallyError("p must be in [0, 1]")
-        require_count("seed", self.seed, 0)
+        object.__setattr__(self, "seed", require_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +195,7 @@ def simulate_rcs(config: RcsConfig) -> CitationNetwork:
 
 def renowned_fraction(network: CitationNetwork, threshold: int) -> tuple[int, float]:
     """Count and fraction of papers with at least `threshold` citations."""
-    require_count("threshold", threshold, 1)
+    threshold = require_count("threshold", threshold, 1)
     count = int((network.in_degree >= threshold).sum())
     return count, count / network.n_papers
 

@@ -9,9 +9,10 @@ estimator actually promises there:
   so the correction can only lower the estimate, per trial and pooled;
 - the simulated chains match the model's exact E[D] and E[T];
 - the estimator is consistent but converges slowly in N.  Applied to the
-  exact expected tally it gives 0.2526 at N = 4300, 0.2382 at 43 000 and
-  0.2304 at 430 000.  The per-trial mean (about 0.32, a finite-N bias of
-  about +0.10) is higher still because D/T is a skewed ratio.
+  expected tally, rounded to counts, it gives 0.2523 at N = 4300, 0.2385
+  at 43 000 and 0.2304 at 430 000.  The per-trial mean (about 0.32, a
+  finite-N bias of about +0.10) is higher still because D/T is a skewed
+  ratio.
 """
 
 import json
@@ -38,6 +39,7 @@ from citecopy import (
 from citecopy.cli import main
 
 from chain_moments import Z, expected_tally, pooled_moments
+from test_rcs import check_network_invariants
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -146,16 +148,7 @@ def test_criterion_07_network_invariants():
             p=float(rng.random() * 0.5),
             seed=int(rng.integers(0, 2**63)),
         )
-        net = simulate_rcs(cfg)
-        assert net.in_degree.sum() == sum(len(r) for r in net.out_lists)
-        for t, refs in enumerate(net.out_lists):
-            assert all(r < t for r in refs)
-            assert len(set(refs)) == len(refs)
-        recount = np.zeros(net.n_papers, dtype=np.int64)
-        for refs in net.out_lists:
-            for r in refs:
-                recount[r] += 1
-        assert np.array_equal(recount, net.in_degree)
+        check_network_invariants(simulate_rcs(cfg))
     report(7, True, "edge conservation, acyclicity, no-duplicates over 50 runs")
 
 

@@ -4,7 +4,8 @@ Each test draws field values around the type's bounds, NaN and huge
 values included, and asserts that construction and `dataclasses.replace`
 raise InvalidTallyError exactly when the range rule written out in the
 test says a field is out of range.  Count fields must also be integers,
-and function arguments with a bound reject NaN as fields do.  The
+and function arguments with a bound reject NaN as fields do; a numpy
+integer count of any width gives what the equal Python int gives.  The
 records that hold numpy arrays share one equality over all their fields.
 """
 
@@ -16,20 +17,23 @@ from numbers import Integral
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import citecopy
 from citecopy import (
     BinomialTailQuery,
     CanonicalRef,
     CcdfCurve,
+    CitecopyError,
     CopyChainConfig,
     CountSample,
     InvalidTallyError,
     MisprintClass,
     MisprintTally,
     RcsConfig,
+    binomial_log10_tail,
     ccdf,
+    corrected_read_fraction,
     estimator_roundtrip,
     expected_count,
     log_bin_histogram,
@@ -270,25 +274,106 @@ def test_non_integer_count_is_rejected(call, message):
         call()
 
 
-def test_numpy_integers_are_integers():
-    tally = MisprintTally(np.int64(45), np.int32(196), np.uint16(4300))
-    assert tally == MisprintTally(45, 196, 4300)
-    assert BinomialTailQuery(np.int64(10), 0.5, np.uint8(3)) == BinomialTailQuery(10, 0.5, 3)
-    assert estimator_roundtrip(CHAIN, np.int64(3)) == estimator_roundtrip(CHAIN, 3)
-    assert renowned_fraction(NET, np.int32(2)) == renowned_fraction(NET, 2)
-    chain = CopyChainConfig(np.int64(100), 0.5, 0.05, np.uint32(1))
-    assert chain == CHAIN and simulate_copy_chain(chain) == simulate_copy_chain(CHAIN)
-    assert simulate_rcs(RcsConfig(np.int32(50), np.int64(2), 0.25, np.uint8(1))) == NET
-    classes = [MisprintClass(("a",) * 4, ("x",)), MisprintClass(("b",) * 4, ("y", "z"))]
-    assert top_misprints(classes, np.int64(1)) == top_misprints(classes, 1) == classes[1:]
-    sample = CountSample(np.array([3, 0, 5], dtype=np.uint8))
-    assert np.issubdtype(sample.counts.dtype, np.integer)
+def tally_and_estimate(distinct, total, citations):
+    tally = MisprintTally(distinct, total, citations)
+    return tally, corrected_read_fraction(tally)
+
+
+def chain_roundtrip(n_citations, seed, trials):
+    config = CopyChainConfig(n_citations, 0.22, 0.0105, seed)
+    return config, estimator_roundtrip(config, trials)
+
+
+def rcs_network(n_papers, m, seed):
+    config = RcsConfig(n_papers, m, 0.25, seed)
+    return config, simulate_rcs(config)
+
+
+def binomial_tail(trials, threshold):
+    query = BinomialTailQuery(trials, 0.5, threshold)
+    return query, binomial_log10_tail(query)
+
+
+CLASSES = [MisprintClass(("a",) * 4, ("x",)), MisprintClass(("b",) * 4, ("y", "z"))]
+U64 = 2**64 - 1
+
+
+def counts(*highs):
+    return st.tuples(*(st.integers(0, high) for high in highs))
+
+
+# every count field and count argument: a call of its counts, and valid
+# counts, small where the call's cost grows with them
+COUNT_CALLS = [
+    (tally_and_estimate, counts(U64, U64, U64).map(sorted).filter(lambda dtn: (dtn[0] == 0) == (dtn[1] == 0))),
+    (chain_roundtrip, counts(300, U64, 10).map(lambda nst: (nst[0] + 1, nst[1], nst[2] + 1))),
+    (rcs_network, counts(300, 4, U64).map(lambda nms: (nms[0] + nms[1] + 2, nms[1] + 1, nms[2]))),
+    (binomial_tail, counts(2000, 2000).map(lambda c: sorted(c, reverse=True))),
+    (trial_seeds, counts(U64, 1000)),
+    (lambda bins_per_decade: log_bin_histogram(CountSample((3, 0, 5, 40)), bins_per_decade),
+     counts(1000).map(lambda b: (b[0] + 1,))),
+    (lambda threshold: renowned_fraction(NET, threshold), counts(U64 - 1).map(lambda t: (t[0] + 1,))),
+    (lambda streak: streak_probability(0.5, streak), counts(U64)),
+    (lambda population: expected_count(population, -3.0), counts(U64)),
+    (lambda k: top_misprints(CLASSES, k), counts(U64)),
+]
+INTEGER_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def numpy_count_calls(draw):
+    """A call, its counts as Python ints, and the same counts each as a
+    numpy integer of a type that holds it."""
+    call, valid = draw(st.sampled_from(COUNT_CALLS))
+    ints = draw(valid)
+    holders = [[t for t in INTEGER_TYPES if np.iinfo(t).min <= v <= np.iinfo(t).max] for v in ints]
+    return call, ints, tuple(draw(st.sampled_from(types))(v) for types, v in zip(holders, ints))
+
+
+def outcome(call, args):
+    """What call(*args) returns, or the type and message of the
+    CitecopyError it raises."""
+    try:
+        return call(*args)
+    except CitecopyError as error:
+        return type(error), str(error)
+
+
+def assert_same(a, b):
+    """a and b are of one type and equal, and so are their fields and items."""
+    assert type(a) is type(b), (a, b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+# numpy integers that wrapped in a narrow dtype: one hung RCS growth, one
+# broke the pooled N of a round trip, one broke the binomial tail's lgamma
+# and one indexed past its range
+@example((rcs_network, (250, 3, 1), (np.uint8(250), np.uint8(3), np.uint8(1))))
+@example((chain_roundtrip, (4300, 1, 200), (np.uint16(4300), 1, np.uint8(200))))
+@example((binomial_tail, (255, 3), (np.uint8(255), np.uint8(3))))
+@example((binomial_tail, (255, 200), (np.uint8(255), np.uint8(200))))
+@given(numpy_count_calls())
+def test_numpy_integers_are_integers(case):
+    # the Python ints' result, in type and value, down to every field of
+    # every record: so each count field the numpy call stored is an int
+    call, ints, numpy_ints = case
+    assert_same(outcome(call, numpy_ints), outcome(call, ints))
 
 
 def test_count_sample_keeps_an_integer_array():
     sample = CountSample((3, 0, 5))
     assert isinstance(sample.counts, np.ndarray) and sample.counts.tolist() == [3, 0, 5]
-    assert sample == CountSample(np.array([3, 0, 5]))
+    assert sample == CountSample(np.array([3, 0, 5])) == CountSample(np.array([3, 0, 5], dtype=np.uint8))
     assert sample != CountSample((3, 0, 6))
     with pytest.raises(TypeError):
         hash(sample)

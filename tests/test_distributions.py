@@ -126,9 +126,11 @@ class TestLogBinHistogram:
 
     @pytest.mark.parametrize("integer", [np.int64, np.uint64])
     def test_bin_count_of_a_numpy_integer_is_that_of_the_int(self, integer):
-        # numpy division and comparison round where Python's do not, and
-        # 20 * b overflows an int64 (a RuntimeWarning, an error here)
-        assert _bin_count(123456789, integer(10**18)) == _bin_count(123456789, 10**18)
+        # about 8.1e18 bins either way, too many for numpy to allocate; a
+        # numpy b would round in division and overflow in 20 * b
+        for bins_per_decade in (integer(10**18), 10**18):
+            with pytest.raises(ValueError, match="array is too big"):
+                log_bin_histogram(CountSample((123456789,)), bins_per_decade)
 
 
 def step_curves():

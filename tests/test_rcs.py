@@ -44,29 +44,12 @@ class TestSimulateRcs:
         for t in range(4):
             assert net.out_lists[t] == tuple(range(t))
 
-    def test_deterministic(self):
-        cfg = RcsConfig(2000, 3, 0.25, 42)
-        a, b = simulate_rcs(cfg), simulate_rcs(cfg)
-        assert a.out_lists == b.out_lists
-        assert np.array_equal(a.in_degree, b.in_degree)
-
     def test_equality_compares_edges(self):
         cfg = RcsConfig(500, 3, 0.25, 42)
         assert simulate_rcs(cfg) == simulate_rcs(cfg)
         assert simulate_rcs(cfg) != simulate_rcs(RcsConfig(500, 3, 0.25, 43))
         with pytest.raises(TypeError):
             hash(simulate_rcs(cfg))
-
-    def test_invariants_over_random_configs(self):
-        rng = np.random.default_rng(0)
-        for _ in range(15):
-            cfg = RcsConfig(
-                n_papers=int(rng.integers(10, 800)),
-                m=int(rng.integers(1, 6)),
-                p=float(rng.random() * 0.4),
-                seed=int(rng.integers(0, 2**32)),
-            )
-            check_network_invariants(simulate_rcs(cfg))
 
     def test_out_degree_fixed_point(self):
         # expected references per paper solves r = m + m*p*r, i.e. 12 for
@@ -98,6 +81,7 @@ class TestCsrForm:
                 seed=int(rng.integers(0, 2**63)),
             )
             net = simulate_rcs(cfg)
+            check_network_invariants(net)
             assert net.indptr.size == cfg.n_papers + 1 == net.n_papers + 1
             assert net.indptr[0] == 0
             assert np.all(np.diff(net.indptr) >= 0)
@@ -218,10 +202,12 @@ class TestLevelGrowth:
 
     def test_depth_is_one_more_than_deepest_pick(self):
         rng = np.random.default_rng(3)
+        # the smallest networks, of m + 1, m + 2 and 2m + 1 papers, then
+        # random sizes
         cases = [
-            (_draw_picks(rng, int(rng.integers(2, 3000)), m), m)
+            (_draw_picks(rng, n, m), m)
             for m in (1, 2, 3, 5)
-            for _ in range(5)
+            for n in [m + 1, m + 2, 2 * m + 1] + [int(rng.integers(m + 1, 3000)) for _ in range(5)]
         ]
         # picks that form one chain: every block needs as many passes as
         # it has papers
